@@ -4,9 +4,10 @@ The selective-scan mixer discretizes h' = A h + B u per token and rolls out
 h_t = Abar_t h_{t-1} + Bbar_t u_t. This demo shows the two equivalences the
 implementation is tested against:
 
- 1. the associative parallel scan computes exactly what the sequential
-    left-to-right rollout computes (the operator (a1,b1)o(a2,b2) =
-    (a1*a2, a2*b1 + b2) is associative), and
+ 1. the fused chunked scan (one tape node that keeps only the state at
+    each chunk start and recomputes the rest in backward) computes what the
+    scan composed from taped ops computes, in its output and in the
+    gradients of all six inputs, and
  2. with frozen input-independent parameters the scan is a linear
     time-invariant system, so its output equals a convolution with the
     materialized impulse-response kernel.
@@ -17,20 +18,31 @@ Run:  python3 demos/02_scan_equivalences.py
 import numpy as np
 
 from mddcnet.tensor import Tensor
-from mddcnet.ssm import MambaBlockConfig, SsmParams, discretize_zoh, \
-    selective_scan_par, selective_scan_seq
+from mddcnet.ssm import discretize_zoh, selective_scan, selective_scan_ref
 
 rng = np.random.default_rng(1)
 
-cfg = MambaBlockConfig(d_model=8, expand=2, d_state=4)
-params = SsmParams(cfg, rng)
 
-print("parallel scan == sequential scan:")
+def scan_and_grads(fn, arrays, coeff):
+    inputs = [Tensor(x, requires_grad=True) for x in arrays]
+    y = fn(*inputs)
+    (y * coeff).sum().backward()
+    return [y.data] + [t.grad for t in inputs]
+
+
+print("fused scan == taped reference (output | worst of the six gradients):")
+n, d, s = 2, 8, 4
 for length in (1, 7, 64, 257):
-    u = Tensor(rng.standard_normal((2, length, cfg.d_inner)))
-    err = np.max(np.abs(selective_scan_seq(u, params).data
-                        - selective_scan_par(u, params, threads=2).data))
-    print(f"  L = {length:4d}: max |difference| = {err:.3e}")
+    arrays = [rng.standard_normal((n, length, d)),
+              np.exp(rng.uniform(-4, 0, (n, length, d))),
+              -np.exp(rng.standard_normal((d, s))),
+              rng.standard_normal((n, length, s)),
+              rng.standard_normal((n, length, s)), rng.standard_normal(d)]
+    coeff = rng.standard_normal((n, length, d))
+    errs = [np.max(np.abs(a - b)) for a, b in
+            zip(scan_and_grads(selective_scan, arrays, coeff),
+                scan_and_grads(selective_scan_ref, arrays, coeff))]
+    print(f"  L = {length:4d}: {errs[0]:.3e} | {max(errs[1:]):.3e}")
 
 # Frozen scan == convolution. Fix delta, B, C to constants (no input
 # dependence); then y = sum_k K[k] * u[t-k] with K the impulse response.
@@ -51,7 +63,6 @@ for t in range(L):
     for k in range(t + 1):
         y_conv[0, t] += K[k] * u[0, t - k]
 
-from mddcnet.ssm import selective_scan
 y_scan = selective_scan(Tensor(u), Tensor(delta), Tensor(a), Tensor(b),
                         Tensor(c), Tensor(np.zeros(d))).data
 err = np.max(np.abs(y_scan - y_conv))

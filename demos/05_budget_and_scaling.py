@@ -1,20 +1,18 @@
 """Budget accounting and scan scaling, straight from the library.
 
 Prints the per-section parameter and FLOP breakdown for the three published
-variants against their targets, then times the sequential selective scan at
-doubling sequence lengths to show the O(L) cost curve.
+variants against their targets, then times the selective scan at doubling
+sequence lengths (median over interleaved rounds) to show the O(L) cost
+curve.
 
 Run:  python3 demos/05_budget_and_scaling.py
 """
-
-import time
 
 import numpy as np
 
 from mddcnet.model import (BUDGET_TARGETS, MddcNet, count_params,
                            estimate_flops, variant_config)
-from mddcnet.ssm import MambaBlockConfig, SsmParams, selective_scan_seq
-from mddcnet.tensor import Tensor, no_grad
+from mddcnet.ssm import MambaBlockConfig, SsmParams, scan_scaling
 
 print(f"{'variant':>8}{'params':>12}{'target':>12}{'delta':>8}"
       f"{'flops@640':>14}{'target':>12}{'delta':>8}")
@@ -26,18 +24,11 @@ for name in ("n", "t", "b"):
     print(f"{name:>8}{p:>12,}{tp:>12,.0f}{100 * (p - tp) / tp:>+7.1f}%"
           f"{f / 1e9:>13.1f}G{tf / 1e9:>11.1f}G{100 * (f - tf) / tf:>+7.1f}%")
 
-print("\nsequential scan cost per token (should be flat => linear in L):")
+print("\nscan cost per token (should be flat => linear in L):")
 cfg = MambaBlockConfig(d_model=32, expand=2, d_state=16)
 params = SsmParams(cfg, np.random.default_rng(0))
-prev = None
-for L in (1024, 2048, 4096, 8192):
-    u = Tensor(np.random.default_rng(1).standard_normal((1, L, cfg.d_inner)))
-    with no_grad():
-        selective_scan_seq(u, params)             # warm up
-        t0 = time.perf_counter()
-        for _ in range(3):
-            selective_scan_seq(u, params)
-        dt = (time.perf_counter() - t0) / 3
-    ratio = f"  time(2L)/time(L) = {dt / prev:.2f}" if prev else ""
+times, ratios = scan_scaling(params, (1024, 2048, 4096, 8192), 5,
+                             np.random.default_rng(1))
+for L, dt in times.items():
+    ratio = f"  time(2L)/time(L) = {ratios[L // 2]:.2f}" if L // 2 in ratios else ""
     print(f"  L = {L:5d}: {1e9 * dt / (L * cfg.d_inner):7.1f} ns/op{ratio}")
-    prev = dt

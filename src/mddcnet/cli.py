@@ -7,9 +7,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +20,7 @@ from .eval import decode_predictions
 from .gradcheck import block_gradcheck_suite
 from .model import (BUDGET_TARGETS, MddcNet, VARIANT_NAMES, count_params,
                     estimate_flops, variant_config)
-from .ssm import MambaBlockConfig, SsmParams, selective_scan_par, \
-    selective_scan_seq
+from .ssm import MambaBlockConfig, SsmParams, scan_scaling
 from .tensor import Tensor, bilinear_resize, no_grad
 from .train import TrainConfig, train_loop
 from .verify import default_seed, run_checks
@@ -29,6 +28,7 @@ from .verify import default_seed, run_checks
 __all__ = ["main"]
 
 GRADCHECK_TOL = 1e-4
+SCALING_BAND = (1.6, 2.6)       # accepted time(2L)/time(L) of the scan
 _PRECISIONS = {"f32": np.float32, "f64": np.float64}
 
 
@@ -234,44 +234,60 @@ def cmd_infer(args) -> int:
 
 def cmd_bench(args) -> int:
     lengths = [int(v) for v in _csv_tuple(args.lengths)]
-    d_inner = args.d_inner
     rng = np.random.default_rng(args.seed)
-    scfg = MambaBlockConfig(d_model=d_inner // max(args.expand, 1),
+    scfg = MambaBlockConfig(d_model=args.d_inner // max(args.expand, 1),
                             expand=max(args.expand, 1), d_state=args.d_state)
     params = SsmParams(scfg, rng)
-    rows = []
+    times, ratios = scan_scaling(params, lengths, args.reps, rng)
     print(f"selective scan, D_inner={scfg.d_inner}, S={args.d_state}, "
-          f"threads={args.threads}")
-    print(f"{'L':>8}{'seq ns/op':>14}{'par ns/op':>14}")
+          f"BLAS threads {blas_threads() or '?'}, "
+          f"median of {max(1, args.reps)} interleaved rounds")
+    print(f"{'L':>8}{'seq ns/op':>14}")
     for length in lengths:
-        u = Tensor(rng.standard_normal((1, length, scfg.d_inner)))
-        with no_grad():
-            for fn in (lambda: selective_scan_seq(u, params),
-                       lambda: selective_scan_par(u, params, args.threads)):
-                fn()                                   # warm up
-            reps = max(1, args.reps)
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                selective_scan_seq(u, params)
-            t_seq = (time.perf_counter() - t0) / reps
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                selective_scan_par(u, params, args.threads)
-            t_par = (time.perf_counter() - t0) / reps
-        rows.append((length, t_seq, t_par))
-        ops = length * scfg.d_inner
-        print(f"{length:>8}{1e9 * t_seq / ops:>14.1f}{1e9 * t_par / ops:>14.1f}")
-    print(f"{'L -> 2L':>12}{'seq ratio':>12}{'par ratio':>12}")
-    ok = True
-    for (l1, s1, p1), (l2, s2, p2) in zip(rows, rows[1:]):
-        if l2 != 2 * l1:
-            continue
-        rs, rp = s2 / s1, p2 / p1
-        ok &= 1.6 <= rs <= 2.6
-        print(f"{l1:>5}->{l2:<6}{rs:>11.2f}{rp:>12.2f}")
+        print(f"{length:>8}{1e9 * times[length] / (length * scfg.d_inner):>14.1f}")
+    print(f"{'L -> 2L':>12}{'seq ratio':>12}")
+    for length, r in ratios.items():
+        print(f"{length:>5}->{2 * length:<6}{r:>11.2f}")
+    ok = all(SCALING_BAND[0] <= r <= SCALING_BAND[1] for r in ratios.values())
     print("sequential scaling is linear" if ok
-          else "sequential scaling OUTSIDE the linear band [1.6, 2.6]")
+          else f"sequential scaling OUTSIDE the linear band {list(SCALING_BAND)}")
     return 0 if ok else 1
+
+
+# -- BLAS threads ----------------------------------------------------------------
+
+def _openblas_function(names: tuple[str, ...]):
+    """The first of ``names`` exported by the OpenBLAS bundled with numpy."""
+    root = Path(np.__file__).parent
+    for lib in sorted([*(root.parent / "numpy.libs").glob("*openblas*"),
+                       *(root / ".dylibs").glob("*openblas*")]):
+        dll = ctypes.CDLL(str(lib))
+        for name in names:
+            fn = getattr(dll, name, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def set_blas_threads(n: int) -> bool:
+    """Pin numpy's OpenBLAS to ``n`` threads; False if it cannot be found."""
+    fn = _openblas_function(("scipy_openblas_set_num_threads64_",
+                             "scipy_openblas_set_num_threads"))
+    if fn is None:
+        return False
+    fn.argtypes, fn.restype = [ctypes.c_int], None
+    fn(n)
+    return True
+
+
+def blas_threads() -> int | None:
+    """The thread count of numpy's OpenBLAS, or None if it cannot be found."""
+    fn = _openblas_function(("scipy_openblas_get_num_threads64_",
+                             "scipy_openblas_get_num_threads"))
+    if fn is None:
+        return None
+    fn.argtypes, fn.restype = [], ctypes.c_int
+    return fn()
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -289,7 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=("concat", "mlca", "csca"))
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--precision", default="f64", choices=("f32", "f64"))
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=int, default=None,
+                        help="pin numpy's OpenBLAS to this many threads "
+                             "(default: leave BLAS as it is)")
     common.add_argument("--out", default="out")
     common.add_argument("--config", default=None,
                         help="key=value file supplying flag defaults")
@@ -338,7 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-inner", type=int, default=64)
     p.add_argument("--d-state", type=int, default=16)
     p.add_argument("--expand", type=int, default=2)
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--reps", type=int, default=5,
+                   help="interleaved timing rounds; medians are reported")
     p.set_defaults(fn=cmd_bench)
     return parser
 
@@ -366,6 +385,12 @@ def main(argv=None) -> int:
         _apply_config_defaults(args)
         if args.seed is None:
             args.seed = default_seed()
+        if args.threads is not None:
+            if args.threads < 1:
+                raise UsageError(f"--threads must be at least 1, got {args.threads}")
+            if not set_blas_threads(args.threads):
+                print("warning: numpy's BLAS exposes no OpenBLAS thread control; "
+                      "--threads ignored", file=sys.stderr)
         if args.command == "gradcheck":
             args.precision = "f64"
         return args.fn(args)

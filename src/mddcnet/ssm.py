@@ -2,24 +2,30 @@
 
 Continuous dynamics h' = A h + B u with diagonal negative-real A are
 discretized per token by a data-dependent step size (zero-order hold),
-then rolled out as the linear recurrence h_t = Ā_t h_{t-1} + B̄_t u_t,
-sequentially or via an associative parallel scan.
+then rolled out as the linear recurrence h_t = Ā_t h_{t-1} + B̄_t u_t.
+``selective_scan`` is one fused tape node that walks the sequence in chunks
+and recomputes each chunk's states in backward; ``selective_scan_ref``, the
+same scan composed from taped ops, is its oracle.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import (Tensor, Module, Parameter, Linear, linear_recurrence,
-                     flatten_hw, unflatten_hw, kaiming_uniform)
+                     no_grad, scan_seq, flatten_hw, unflatten_hw,
+                     kaiming_uniform)
 
 __all__ = ["MambaBlockConfig", "SsmParams", "discretize_zoh", "selective_scan",
-           "selective_scan_seq", "selective_scan_par", "MambaBlock",
-           "MambaBlock2d"]
+           "selective_scan_ref", "scan_scaling", "MambaBlock", "MambaBlock2d"]
 
 _SERIES_EPS = 1e-6
+# Tokens per chunk of the fused scan: a chunk's [N, T, D, S] working arrays
+# stay in cache, and backward keeps only the state at each chunk start.
+SCAN_CHUNK = 16
 _SSM_FIELDS = ("A_log", "D_skip", "proj_B", "proj_C", "dt_down", "dt_up")
 
 
@@ -32,8 +38,6 @@ class MambaBlockConfig:
     # rank of the factored step-size projection; None: max(4, d_inner // 16)
     dt_rank: int | None = None
     scan_direction: str = "forward"     # "forward" | "bidirectional"
-    parallel_scan: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         if self.scan_direction not in ("forward", "bidirectional"):
@@ -95,21 +99,111 @@ def discretize_zoh(a: Tensor, b: Tensor, delta: Tensor) -> tuple[Tensor, Tensor]
     return abar, bbar
 
 
+def selective_scan_ref(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
+                       c: Tensor, d_skip: Tensor) -> Tensor:
+    """The selective scan composed from taped ops: the oracle of
+    ``selective_scan``, whose autodiff gives the reference gradients."""
+    n, l, d = u.shape
+    s = a.shape[1]
+    abar, bbar = discretize_zoh(a, b, delta)
+    h = linear_recurrence(abar, bbar * u.reshape(n, l, d, 1))
+    return (h * c.reshape(n, l, 1, s)).sum(axis=3) + u * d_skip
+
+
+def _zoh_chunk(dd, ad, bd, ud, small):
+    """Δ·A, e^{ΔA} − 1, the B̄ factor (e^{ΔA} − 1)/A (Δ-series where
+    |Δ·A| < eps when ``small``) and B̄·u of one chunk, each [N, T, D, S]."""
+    dd4 = dd[..., None]
+    da = dd4 * ad
+    em1 = np.expm1(da)
+    bf = em1 / ad
+    mask = None
+    if small:
+        mask = np.abs(da) < _SERIES_EPS
+        bf = np.where(mask, dd4 * (1.0 + 0.5 * da), bf)
+    x = bf * bd[:, :, None, :]
+    x *= ud[..., None]
+    return da, em1, bf, x, mask
+
+
 def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
-                   d_skip: Tensor, *, parallel: bool = False,
-                   threads: int = 1) -> Tensor:
+                   d_skip: Tensor) -> Tensor:
     """Run the discretized recurrence and read out with per-token C.
 
     u, delta: [N, L, D]; a: [D, S]; b, c: [N, L, S]; d_skip: [D].
     Returns y[n,l,d] = Σ_s h[n,l,d,s]·c[n,l,s] + d_skip[d]·u[n,l,d]
-    where h_t = abar_t ⊙ h_{t-1} + bbar_t·u_t, h_0 = 0.
+    where h_t = abar_t ⊙ h_{t-1} + bbar_t·u_t, h_0 = 0 and (abar, bbar)
+    = discretize_zoh(a, b, delta).
+
+    One tape node: the sequence is walked in chunks of SCAN_CHUNK tokens and
+    only the state at each chunk start is kept; backward recomputes a
+    chunk's states from it and runs the reverse recurrence per chunk.
     """
-    n, l, d = u.shape
-    s = a.shape[1]
-    abar, bbar = discretize_zoh(a, b, delta)
-    h = linear_recurrence(abar, bbar * u.reshape(n, l, d, 1),
-                          parallel=parallel, threads=threads)
-    return (h * c.reshape(n, l, 1, s)).sum(axis=3) + u * d_skip
+    ud, dd, ad, bd, cd, skd = (t.data for t in (u, delta, a, b, c, d_skip))
+    if np.any(dd <= 0):
+        raise ValueError("selective_scan: step sizes must be strictly positive")
+    n, l, d = ud.shape
+    s = ad.shape[1]
+    dtype = np.result_type(ud, dd, ad, bd, cd, skd)
+    small = bool((dd * np.abs(ad).min(axis=1)).min() < _SERIES_EPS)
+    chunks = [slice(t0, t0 + SCAN_CHUNK) for t0 in range(0, l, SCAN_CHUNK)]
+    h_start = np.zeros((len(chunks), n, d, s), dtype=dtype)
+    y = np.empty((n, l, d), dtype=dtype)
+    for i, sl in enumerate(chunks):
+        _, em1, _, x, _ = _zoh_chunk(dd[:, sl], ad, bd[:, sl], ud[:, sl], small)
+        h = scan_seq(em1 + 1.0, x, h_start[i])
+        if i + 1 < len(chunks):
+            h_start[i + 1] = h[:, -1]
+        y[:, sl] = (h @ cd[:, sl, :, None])[..., 0]
+    y += ud * skd
+
+    def back(g):
+        ones_s = np.ones(s, dtype=dtype)
+        gu = g * skd
+        gdelta = np.empty_like(gu)
+        gb = np.empty((n, l, s), dtype=dtype)
+        gc = np.empty((n, l, s), dtype=dtype)
+        ga_abar = np.zeros(d * s, dtype=dtype)   # Σ Δ·Ā·dL/dĀ
+        ga_bf = np.zeros(d * s, dtype=dtype)     # Σ A²·∂bf/∂A·dL/dbf
+        carry = np.zeros((n, d, s), dtype=dtype)  # Ā_{t+1}·q_{t+1} past the chunk
+        for i in reversed(range(len(chunks))):
+            sl = chunks[i]
+            dc, uc, gi = dd[:, sl], ud[:, sl], g[:, sl]
+            bc = bd[:, sl, :, None]
+            da, em1, bf, x, mask = _zoh_chunk(dc, ad, bd[:, sl], uc, small)
+            abar = em1 + 1.0
+            h = scan_seq(abar, x, h_start[i])
+            gc[:, sl] = (gi[:, :, None, :] @ h)[:, :, 0, :]
+            # q_t = dL/dh_t = g_t·C_t + Ā_{t+1}·q_{t+1}; dL/dx_t = q_t
+            q = gi[..., None] * cd[:, sl, None, :]
+            q[:, -1] += carry
+            for t in range(q.shape[1] - 2, -1, -1):
+                q[:, t] += abar[:, t + 1] * q[:, t + 1]
+            carry = abar[:, 0] * q[:, 0]
+            # x = bf·B·u gives the gradients of u and B
+            qbf = q * bf
+            gu[:, sl] += (qbf @ bc)[..., 0]
+            gb[:, sl] = (uc[:, :, None, :] @ qbf)[:, :, 0, :]
+            # ∂Ā/∂Δ = Ā·A and ∂bf/∂Δ = Ā, so both Δ paths go through q·Ā
+            w = q * abar
+            gdelta[:, sl] = uc * (w @ bc)[..., 0]
+            w *= np.concatenate((h_start[i][:, None], h[:, :-1]), axis=1)
+            gdelta[:, sl] += ((w * ad).reshape(-1, s) @ ones_s).reshape(dc.shape)
+            w *= dc[..., None]
+            ga_abar += w.reshape(-1, d * s).sum(axis=0)
+            # A²·∂bf/∂A = ΔA·e^{ΔA} − (e^{ΔA} − 1); series: A²·Δ²/2
+            dbf = da * abar
+            dbf -= em1
+            if mask is not None:
+                dbf = np.where(mask, 0.5 * da * da, dbf)
+            dbf *= q * bc.transpose(0, 1, 3, 2)
+            dbf *= uc[..., None]
+            ga_bf += dbf.reshape(-1, d * s).sum(axis=0)
+        ga = (ga_abar + ga_bf / (ad * ad).ravel()).reshape(d, s)
+        gskip = (g * ud).reshape(-1, d).sum(axis=0)
+        return gu, gdelta, ga, gb, gc, gskip
+
+    return Tensor._node(y, (u, delta, a, b, c, d_skip), back)
 
 
 class SsmParams(Module):
@@ -136,22 +230,40 @@ class SsmParams(Module):
         self.dt_up.bias.data = np.log(np.expm1(dt0)).astype(dtype)
 
 
-def _apply_ssm(p, u: Tensor, *, parallel: bool = False, threads: int = 1) -> Tensor:
-    """Run the selective scan of any container exposing the SsmParams fields."""
+def _scan_inputs(p, u: Tensor) -> tuple:
+    """Arguments of ``selective_scan`` from any container exposing the
+    SsmParams fields."""
     a = -p.A_log.exp()
     delta = p.dt_up(p.dt_down(u)).softplus()
-    return selective_scan(u, delta, a, p.proj_B(u), p.proj_C(u), p.D_skip,
-                          parallel=parallel, threads=threads)
+    return u, delta, a, p.proj_B(u), p.proj_C(u), p.D_skip
 
 
-def selective_scan_seq(u: Tensor, params) -> Tensor:
-    """Left-to-right recurrent evaluation (the canonical reference)."""
-    return _apply_ssm(params, u, parallel=False)
+def scan_scaling(params, lengths, rounds: int,
+                 rng: np.random.Generator) -> tuple[dict, dict]:
+    """Wall-clock cost of ``selective_scan`` under no_grad at each sequence
+    length, with inputs from the SsmParams-like ``params`` and batch 1.
 
-
-def selective_scan_par(u: Tensor, params, threads: int = 1) -> Tensor:
-    """Same result via the associative tree scan."""
-    return _apply_ssm(params, u, parallel=True, threads=threads)
+    Every round times each length once, so a slow spell of the machine
+    falls on neighbouring lengths alike. Returns the median seconds per
+    length, and for each L whose double 2L is also timed the median over
+    rounds of that round's time(2L)/time(L).
+    """
+    di = params.D_skip.shape[0]
+    inputs = {}
+    with no_grad():
+        for length in lengths:
+            u = Tensor(rng.standard_normal((1, length, di)))
+            inputs[length] = _scan_inputs(params, u)
+            selective_scan(*inputs[length])                 # warm up
+        times = {length: [] for length in lengths}
+        for _ in range(max(1, rounds)):
+            for length in lengths:
+                t0 = time.perf_counter()
+                selective_scan(*inputs[length])
+                times[length].append(time.perf_counter() - t0)
+    ratios = {length: float(np.median(np.divide(times[2 * length], times[length])))
+              for length in lengths if 2 * length in times}
+    return {length: float(np.median(ts)) for length, ts in times.items()}, ratios
 
 
 class MambaBlock(Module):
@@ -194,10 +306,9 @@ class MambaBlock(Module):
         proj = self.in_proj(x)
         u, gate = proj[:, :, :di], proj[:, :, di:]
         u = self._seq_conv(u).silu()
-        y = _apply_ssm(self, u, parallel=cfg.parallel_scan, threads=cfg.threads)
+        y = selective_scan(*_scan_inputs(self, u))
         if cfg.scan_direction == "bidirectional":
-            y_rev = _apply_ssm(self.rev, u.flip(1), parallel=cfg.parallel_scan,
-                               threads=cfg.threads).flip(1)
+            y_rev = selective_scan(*_scan_inputs(self.rev, u.flip(1))).flip(1)
             y = (y + y_rev) * 0.5
         return self.out_proj(y * gate.silu())
 

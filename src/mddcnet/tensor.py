@@ -8,6 +8,8 @@ treated as immutable.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf as _erf
@@ -36,11 +38,11 @@ __all__ = [
     "bilinear_resize",
     "linear_recurrence",
     "scan_seq",
-    "scan_par",
 ]
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, so that NumPy-2 promotion keeps float32 arrays float32
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _grad_enabled = True
 
@@ -716,51 +718,27 @@ def bilinear_resize(x: Tensor, oh: int, ow: int) -> Tensor:
 
 # -- linear recurrence (selective-scan core) ----------------------------------
 
-def scan_seq(abar: np.ndarray, bu: np.ndarray) -> np.ndarray:
-    """h_t = abar_t * h_{t-1} + bu_t along axis 1, h_0 = 0. Raw-array kernel."""
+def scan_seq(abar: np.ndarray, bu: np.ndarray,
+             h0: np.ndarray | None = None) -> np.ndarray:
+    """h_t = abar_t * h_{t-1} + bu_t along axis 1, starting from the state
+    h0 (zero when None) before the first step. Raw-array kernel."""
     h = np.empty_like(bu)
-    acc = np.zeros(bu.shape[:1] + bu.shape[2:], dtype=bu.dtype)
+    acc = h0 if h0 is not None else np.zeros(bu.shape[:1] + bu.shape[2:],
+                                             dtype=bu.dtype)
     for t in range(bu.shape[1]):
-        acc = abar[:, t] * acc + bu[:, t]
-        h[:, t] = acc
+        ht = h[:, t]
+        np.multiply(abar[:, t], acc, out=ht)
+        ht += bu[:, t]
+        acc = ht
     return h
 
 
-def scan_par(abar: np.ndarray, bu: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Work-efficient inclusive scan via the associative combiner
-    (a2,b2)∘(a1,b1) = (a2*a1, a2*b1 + b2), vectorized over the sequence axis."""
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        n = abar.shape[0]
-        if n >= threads:
-            chunks = np.array_split(np.arange(n), threads)
-            out = np.empty_like(bu)
-            with ThreadPoolExecutor(threads) as ex:
-                futs = [ex.submit(scan_par, abar[ix], bu[ix]) for ix in chunks]
-                for ix, f in zip(chunks, futs):
-                    out[ix] = f.result()
-            return out
-    a = abar.copy()
-    b = bu.copy()
-    l = a.shape[1]
-    stride = 1
-    while stride < l:
-        a_lo = a[:, :-stride]
-        b_lo = b[:, :-stride]
-        a_hi = a[:, stride:]
-        b[:, stride:] = b[:, stride:] + a_hi * b_lo
-        a[:, stride:] = a_hi * a_lo
-        stride *= 2
-    return b
-
-
-def linear_recurrence(abar: Tensor, bu: Tensor, *, parallel: bool = False,
-                      threads: int = 1) -> Tensor:
+def linear_recurrence(abar: Tensor, bu: Tensor) -> Tensor:
     """Differentiable h_t = abar_t ⊙ h_{t-1} + bu_t along axis 1."""
     if abar.shape != bu.shape:
         raise ValueError(f"linear_recurrence: shape mismatch {abar.shape} vs {bu.shape}")
-    ad, bd = abar.data, bu.data
-    h = scan_par(ad, bd, threads) if parallel else scan_seq(ad, bd)
+    ad = abar.data
+    h = scan_seq(ad, bu.data)
 
     def back(g):
         l = g.shape[1]

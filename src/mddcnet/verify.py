@@ -20,8 +20,8 @@ import numpy as np
 
 from .tensor import Tensor, Conv2d, concat, conv2d, no_grad
 from .msddc import Msddc, MsddcConfig, deform_dilated_conv
-from .ssm import (MambaBlock, MambaBlockConfig, SsmParams, discretize_zoh,
-                  selective_scan, selective_scan_par, selective_scan_seq)
+from .ssm import (SCAN_CHUNK, MambaBlock, MambaBlockConfig, discretize_zoh,
+                  selective_scan, selective_scan_ref)
 from .ffn_attn import Csca, FFN_KINDS, make_ffn
 from .model import MddcNet, count_params, decode_boxes, encode_box, \
     estimate_flops, variant_config
@@ -141,32 +141,39 @@ def check_msddc_translation_equivariance(rng) -> str:
 # -- ssm -----------------------------------------------------------------------
 
 def check_ssm_par_matches_seq(rng) -> str:
-    """Parallel associative scan equals the sequential recurrence over 30
-    configurations, including L=1 and L=257."""
-    worst = 0.0
-    for i in range(30):
-        if i == 0:
-            l = 1
-        elif i == 1:
-            l = 257
-        else:
-            l = int(rng.integers(2, 64))
+    """The fused chunked scan equals its taped composition (the oracle), in
+    output and in all six gradients, at lengths around the chunk size and
+    with a forced small step (Δ = 1e-9, the series fallback)."""
+    lengths = (1, 2, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, 64, 257)
+    worst_y = worst_g = 0.0
+    for i, l in enumerate(lengths + (2 * SCAN_CHUNK + 3,)):
         n = int(rng.integers(1, 3))
         d = int(rng.integers(1, 8))
         s = int(rng.integers(1, 6))
-        u = Tensor(rng.standard_normal((n, l, d)))
-        a = Tensor(-np.exp(rng.standard_normal((d, s))))
-        delta = Tensor(np.exp(rng.uniform(-4, 0, (n, l, d))))
-        b = Tensor(rng.standard_normal((n, l, s)))
-        c = Tensor(rng.standard_normal((n, l, s)))
-        dsk = Tensor(rng.standard_normal(d))
-        threads = 1 + (i % 3)
-        seq = selective_scan(u, delta, a, b, c, dsk, parallel=False)
-        par = selective_scan(u, delta, a, b, c, dsk, parallel=True,
-                             threads=threads)
-        worst = max(worst, _max_abs(seq.data, par.data))
-    _require(worst <= TOL_ORACLE, f"max |par - seq| = {worst:.3e}")
-    return f"30 configs incl L=1,257, max err {worst:.3e}"
+        delta = np.exp(rng.uniform(-4, 0, (n, l, d)))
+        if i == len(lengths):
+            delta[:, ::2] = 1e-9
+        arrays = (rng.standard_normal((n, l, d)), delta,
+                  -np.exp(rng.standard_normal((d, s))),
+                  rng.standard_normal((n, l, s)), rng.standard_normal((n, l, s)),
+                  rng.standard_normal(d))
+        coeff = rng.standard_normal((n, l, d))
+        runs = []
+        for fn in (selective_scan, selective_scan_ref):
+            inputs = [Tensor(x, requires_grad=True) for x in arrays]
+            y = fn(*inputs)
+            (y * coeff).sum().backward()
+            runs.append((y.data, [t.grad for t in inputs]))
+        (y, grads), (y_ref, grads_ref) = runs
+        worst_y = max(worst_y, _max_abs(y, y_ref))
+        worst_g = max(worst_g, max(
+            float(np.max(np.abs(g - r) / np.maximum(1.0, np.abs(r))))
+            for g, r in zip(grads, grads_ref)))
+    _require(worst_y <= TOL_ORACLE, f"max |fused - ref| = {worst_y:.3e}")
+    _require(worst_g <= TOL_ORACLE,
+             f"gradients: max |fused - ref| / max(1, |ref|) = {worst_g:.3e}")
+    return (f"L in {lengths} + small step, max err {worst_y:.3e}, "
+            f"gradients {worst_g:.3e}")
 
 
 def check_ssm_zoh_scalar(rng) -> str:
@@ -417,6 +424,26 @@ def check_model_forward_deterministic(rng) -> str:
     return "construction + forward bitwise equal"
 
 
+def check_model_dtype_preserved(rng) -> str:
+    """An n-toy forward and backward stays in the model's precision: in f32
+    and in f64 every output and every parameter gradient has the model's
+    dtype (no NumPy promotion to f64 on the way)."""
+    x = rng.random((2, 3, 64, 64))
+    for dtype in (np.float32, np.float64):
+        model = MddcNet(variant_config("n-toy"), np.random.default_rng(0),
+                        dtype=dtype)
+        outs = [t for level in model(Tensor(x.astype(dtype))) for t in level]
+        _require(all(t.dtype == dtype for t in outs),
+                 f"{np.dtype(dtype).name} model output dtypes "
+                 f"{sorted({t.dtype.name for t in outs})}")
+        sum((t * t).sum() for t in outs).backward()
+        bad = [name for name, p in model.named_parameters()
+               if p.grad is None or p.grad.dtype != dtype]
+        _require(not bad, f"{np.dtype(dtype).name} model: {len(bad)} parameter "
+                          f"gradients missing or of another dtype, e.g. {bad[:3]}")
+    return "f32 and f64: outputs and parameter gradients keep the dtype"
+
+
 # -- eval ----------------------------------------------------------------------
 
 def _brute_nms(dets, iou_thr, score_thr):
@@ -642,6 +669,7 @@ CHECKS = {
     "model.box_roundtrip": check_model_box_roundtrip,
     "model.section_sums": check_model_section_sums,
     "model.forward_deterministic": check_model_forward_deterministic,
+    "model.dtype_preserved": check_model_dtype_preserved,
     "eval.nms_matches_bruteforce": check_eval_nms_matches_bruteforce,
     "eval.nms_idempotent": check_eval_nms_idempotent,
     "eval.map_matches_bruteforce": check_eval_map_matches_bruteforce,

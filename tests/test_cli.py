@@ -198,3 +198,21 @@ def test_bench_small_lengths_report_ratios(capsys):
     # tiny sizes may fall outside the linear band; only the format is checked
     assert code in (0, 1)
     assert "seq ns/op" in out and "64->128" in out.replace(" ", "")
+
+
+def test_threads_flag_pins_blas_and_is_read_back(capsys):
+    from mddcnet.cli import blas_threads, set_blas_threads
+    before = blas_threads()
+    if before is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS with thread control")
+    try:
+        code, _, err = run(capsys, "verify", "--filter", "ssm.zoh", "--threads", "2")
+        assert code == 0 and "warning" not in err
+        assert blas_threads() == 2
+        set_blas_threads(1)
+        code, _, _ = run(capsys, "verify", "--filter", "ssm.zoh")
+        assert code == 0 and blas_threads() == 1     # no flag: BLAS left alone
+        code, out, err = run(capsys, "verify", "--threads", "0")
+        assert code == 2 and "--threads" in err
+    finally:
+        set_blas_threads(before)

@@ -129,3 +129,20 @@ def test_same_seed_same_init():
     m2 = MddcNet(variant_config("n-toy"), np.random.default_rng(7))
     for (n1, p1), (n2, p2) in zip(m1.named_parameters(), m2.named_parameters()):
         assert n1 == n2 and np.array_equal(p1.data, p2.data)
+
+
+def test_float32_forward_records_no_float64_node(monkeypatch):
+    # every tape node of an f32 n-toy forward is f32, not just the outputs
+    dtypes = set()
+    node = Tensor._node
+
+    def recording_node(data, parents, backward):
+        out = node(data, parents, backward)
+        dtypes.add(out.dtype.name)
+        return out
+
+    monkeypatch.setattr(Tensor, "_node", staticmethod(recording_node))
+    model = MddcNet(variant_config("n-toy"), np.random.default_rng(0),
+                    dtype=np.float32)
+    model(Tensor(RNG.random((2, 3, 64, 64)).astype(np.float32)))
+    assert dtypes == {"float32"}

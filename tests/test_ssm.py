@@ -6,8 +6,7 @@ import pytest
 
 from mddcnet.tensor import Tensor, flatten_hw, unflatten_hw
 from mddcnet.ssm import (MambaBlock, MambaBlock2d, MambaBlockConfig, SsmParams,
-                         discretize_zoh, selective_scan, selective_scan_par,
-                         selective_scan_seq)
+                         discretize_zoh, selective_scan, selective_scan_ref)
 from mddcnet.gradcheck import grad_check
 from mddcnet.verify import CHECKS
 
@@ -50,14 +49,47 @@ def test_zoh_rejects_nonpositive_step():
         discretize_zoh(a, b, Tensor(np.array([[[0.0]]])))
 
 
+def _random_scan_arrays(n, l, d, s, rng):
+    return [rng.standard_normal((n, l, d)), np.exp(rng.uniform(-4, 0, (n, l, d))),
+            -np.exp(rng.standard_normal((d, s))), rng.standard_normal((n, l, s)),
+            rng.standard_normal((n, l, s)), rng.standard_normal(d)]
+
+
+def _run_scan(fn, arrays, coeff):
+    inputs = [Tensor(x, requires_grad=True) for x in arrays]
+    y = fn(*inputs)
+    (y * coeff).sum().backward()
+    return y.data, [t.grad for t in inputs]
+
+
 @pytest.mark.parametrize("length", [1, 2, 7, 64, 257])
 def test_par_matches_seq(length):
-    cfg = MambaBlockConfig(d_model=4, expand=2, d_state=3, dt_rank=2)
-    p = SsmParams(cfg, np.random.default_rng(5))
-    u = Tensor(RNG.standard_normal((2, length, cfg.d_inner)))
-    y_seq = selective_scan_seq(u, p)
-    y_par = selective_scan_par(u, p, threads=2)
-    assert np.max(np.abs(y_seq.data - y_par.data)) <= 1e-10
+    # the fused chunked scan against its taped composition, output and grads
+    rng = np.random.default_rng(length)
+    arrays = _random_scan_arrays(2, length, 6, 3, rng)
+    coeff = rng.standard_normal((2, length, 6))
+    y, grads = _run_scan(selective_scan, arrays, coeff)
+    y_ref, grads_ref = _run_scan(selective_scan_ref, arrays, coeff)
+    assert np.max(np.abs(y - y_ref)) <= 1e-10
+    for g, r in zip(grads, grads_ref):
+        assert np.max(np.abs(g - r) / np.maximum(1.0, np.abs(r))) <= 1e-10
+
+
+def test_selective_scan_keeps_float32():
+    rng = np.random.default_rng(8)
+    arrays = [x.astype(np.float32) for x in _random_scan_arrays(2, 21, 4, 3, rng)]
+    y, grads = _run_scan(selective_scan, arrays,
+                         rng.standard_normal((2, 21, 4)).astype(np.float32))
+    assert y.dtype == np.float32
+    assert [g.dtype for g in grads] == [np.float32] * 6
+
+
+def test_selective_scan_rejects_nonpositive_step():
+    rng = np.random.default_rng(9)
+    arrays = [Tensor(x) for x in _random_scan_arrays(1, 3, 2, 2, rng)]
+    arrays[1].data[0, 1, 0] = 0.0
+    with pytest.raises(ValueError):
+        selective_scan(*arrays)
 
 
 def test_scan_matches_naive_recurrence():
@@ -89,13 +121,13 @@ def test_selective_scan_gradients():
     c = Tensor(RNG.standard_normal((n, l, s)), requires_grad=True)
     dsk = Tensor(RNG.standard_normal(d), requires_grad=True)
     coeff = RNG.standard_normal((n, l, d))
-    for par in (False, True):
-        def fn():
-            return (selective_scan(u, delta, a, b, c, dsk,
-                                   parallel=par) * coeff).sum()
-        rep = grad_check(fn, [("u", u), ("delta", delta), ("a", a),
-                              ("b", b), ("c", c), ("dsk", dsk)])
-        assert max(rep.values()) < 1e-5
+
+    def fn():
+        return (selective_scan(u, delta, a, b, c, dsk) * coeff).sum()
+
+    rep = grad_check(fn, [("u", u), ("delta", delta), ("a", a),
+                          ("b", b), ("c", c), ("dsk", dsk)])
+    assert max(rep.values()) < 1e-5
 
 
 def test_config_validation():
