@@ -24,10 +24,11 @@ mamba = MambaBlock(MambaBlockConfig(d_model=8, d_state=4), rng)
 print("mamba block output at init is exactly zero:",
       bool(np.all(mamba(x_seq).data == 0.0)))
 
-for kind in ("vanilla", "ce_ffn", "gated_ca"):
-    ffn = make_ffn(kind, 8, rng)
-    print(f"{kind:>9} ffn(x) == x bitwise:",
-          bool(np.array_equal(ffn(x_map).data, x_map.data)))
+for kind in ("vanilla", "ca", "gated_ca", "ce_ffn"):
+    y = make_ffn(kind, 8, rng)(x_map)
+    print(f"{kind:>9} ffn(x) == 0 and x + ffn(x) == x bitwise:",
+          bool(np.all(y.data == 0.0)
+               and np.array_equal((x_map + y).data, x_map.data)))
 
 for kind in ("csca", "mlca", "concat"):
     att = Csca(8, rng, kind=kind)

@@ -17,10 +17,11 @@ import numpy as np
 from . import io as mio
 from .data import CLASS_NAMES
 from .eval import decode_predictions
+from .ffn_attn import FFN_KINDS, NECK_ATTENTION_KINDS
 from .gradcheck import block_gradcheck_suite
 from .model import (BUDGET_TARGETS, MddcNet, VARIANT_NAMES, count_params,
                     estimate_flops, variant_config)
-from .ssm import MambaBlockConfig, SsmParams, scan_scaling
+from .ssm import MambaBlock, MambaBlockConfig, scan_scaling
 from .tensor import Tensor, bilinear_resize, no_grad
 from .train import TrainConfig, train_loop
 from .verify import default_seed, run_checks
@@ -237,8 +238,8 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     scfg = MambaBlockConfig(d_model=args.d_inner // max(args.expand, 1),
                             expand=max(args.expand, 1), d_state=args.d_state)
-    params = SsmParams(scfg, rng)
-    times, ratios = scan_scaling(params, lengths, args.reps, rng)
+    block = MambaBlock(scfg, rng)
+    times, ratios = scan_scaling(block, lengths, args.reps, rng)
     print(f"selective scan, D_inner={scfg.d_inner}, S={args.d_state}, "
           f"BLAS threads {blas_threads() or '?'}, "
           f"median of {max(1, args.reps)} interleaved rounds")
@@ -292,19 +293,18 @@ def blas_threads() -> int | None:
 
 # -- argument plumbing ---------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--variant", default="n-toy", choices=VARIANT_NAMES)
     common.add_argument("--stage-kinds", default=None,
                         help="4 comma-separated mixers, e.g. msddc,msddc,mamba,mamba")
     common.add_argument("--dilations", default=None,
                         help="comma-separated branch dilations, e.g. 1,2,4")
-    common.add_argument("--ffn", default=None,
-                        choices=("vanilla", "ca", "residual_ca", "gated_ca", "ce_ffn"))
-    common.add_argument("--neck-attn", default=None,
-                        choices=("concat", "mlca", "csca"))
+    common.add_argument("--ffn", default=None, choices=FFN_KINDS)
+    common.add_argument("--neck-attn", default=None, choices=NECK_ATTENTION_KINDS)
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--precision", default="f64", choices=("f32", "f64"))
+    common.add_argument("--precision", default="f64", choices=_PRECISIONS)
     common.add_argument("--threads", type=int, default=None,
                         help="pin numpy's OpenBLAS to this many threads "
                              "(default: leave BLAS as it is)")
@@ -359,30 +359,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=5,
                    help="interleaved timing rounds; medians are reported")
     p.set_defaults(fn=cmd_bench)
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_defaults(args):
-    if not getattr(args, "config", None):
-        return
-    overrides = _parse_config_file(args.config)
-    casts = {"seed": int, "threads": int, "epochs": int, "batch": int,
-             "input_size": int, "train_scenes": int, "val_scenes": int,
-             "d_inner": int, "d_state": int, "expand": int, "reps": int,
-             "lr": float, "early_stop_map": float, "score_threshold": float}
-    for key, val in overrides.items():
-        if not hasattr(args, key):
+def _install_config_defaults(command: argparse.ArgumentParser, path) -> None:
+    """Make the values of a --config file the defaults of the subcommand's
+    options, so that flags given on the command line still win. Each value
+    is checked against its option's type and choices."""
+    options = {a.dest: a for a in command._actions if a.option_strings}
+    defaults = {}
+    for key, val in _parse_config_file(path).items():
+        if key not in options:
             raise UsageError(f"config file sets unknown option {key!r}")
+        action = options[key]
         try:
-            setattr(args, key, casts.get(key, str)(val))
+            defaults[key] = action.type(val) if action.type else val
         except ValueError as exc:
             raise UsageError(f"config value {key}={val!r}: {exc}") from exc
+        if action.choices is not None and defaults[key] not in action.choices:
+            raise UsageError(f"config value {key}={val!r}: choose from "
+                             f"{', '.join(map(str, action.choices))}")
+    command.set_defaults(**defaults)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        _apply_config_defaults(args)
+        if args.config:
+            _install_config_defaults(commands[args.command], args.config)
+            args = parser.parse_args(argv)
         if args.seed is None:
             args.seed = default_seed()
         if args.threads is not None:

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eval import box_iou
+
 __all__ = ["SynthScene", "generate_scene", "generate_split",
            "CLASS_NAMES", "NUM_CLASSES"]
 
@@ -57,14 +59,6 @@ def _shape_mask(cls: int, h: int, w: int, cy: float, cx: float,
     return (np.abs(dy) <= 1) & (np.abs(dx) <= (dy + 1) * 0.5)
 
 
-def _iou(a, b) -> float:
-    ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
-    iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
-    inter = ix * iy
-    ua = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
-    return inter / ua if ua > 0 else 0.0
-
-
 def generate_scene(seed: int, size: int = 64) -> SynthScene:
     rng = np.random.default_rng(seed)
     img = 0.35 + 0.1 * rng.standard_normal(3)[:, None, None] \
@@ -85,7 +79,7 @@ def generate_scene(seed: int, size: int = 64) -> SynthScene:
             cy = float(rng.uniform(hh + 0.5, size - hh - 0.5))
             cx = float(rng.uniform(hw + 0.5, size - hw - 0.5))
             box = (cx - hw, cy - hh, cx + hw, cy + hh)
-            if all(_iou(box, b) < 0.25 for _, b in annotations):
+            if all(box_iou(box, b) < 0.25 for _, b in annotations):
                 placed = True
                 break
         if not placed:

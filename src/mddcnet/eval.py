@@ -11,7 +11,7 @@ import numpy as np
 from .model import Detection, decode_boxes
 from .tensor import Tensor, no_grad
 
-__all__ = ["box_iou", "iou_matrix", "nms", "average_precision", "compute_map",
+__all__ = ["box_iou", "nms", "average_precision", "compute_map",
            "decode_predictions", "MAP_THRESHOLDS"]
 
 MAP_THRESHOLDS = tuple(np.round(np.arange(0.5, 0.96, 0.05), 2))
@@ -25,20 +25,6 @@ def box_iou(a, b) -> float:
     area_b = (b[2] - b[0]) * (b[3] - b[1])
     union = area_a + area_b - inter
     return inter / union if union > 0 else 0.0
-
-
-def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """[Na,4] x [Nb,4] -> [Na,Nb] pairwise IoU."""
-    a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
-    tl = np.maximum(a[:, None, :2], b[None, :, :2])
-    br = np.minimum(a[:, None, 2:], b[None, :, 2:])
-    wh = np.clip(br - tl, 0.0, None)
-    inter = wh[..., 0] * wh[..., 1]
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    return np.where(union > 0, inter / np.maximum(union, 1e-12), 0.0)
 
 
 def _det_order_key(d: Detection):

@@ -18,7 +18,7 @@ __all__ = ["CeFfn", "VanillaFfn", "make_ffn", "FFN_KINDS",
            "SpatialAttention", "Mlca", "ScaleCalibration", "Csca",
            "NECK_ATTENTION_KINDS"]
 
-FFN_KINDS = ("vanilla", "ca", "residual_ca", "gated_ca", "ce_ffn")
+FFN_KINDS = ("vanilla", "ca", "gated_ca", "ce_ffn")
 NECK_ATTENTION_KINDS = ("concat", "mlca", "csca")
 
 
@@ -28,22 +28,22 @@ class CeFfn(Module):
     Y        = GELU(DWConv3x3(Conv1x1(x)))               (expand C -> E)
     F_local  = r * (Y - GELU(Conv1x1(Y))) + Y            (r: per-channel, init 1e-2)
     F_global = sigmoid(Conv1x1(GAP(Y)))                  ([N,E,1,1])
-    out      = Conv1x1(F_global + F_local) [+ x]         (zero-init projection)
+    out      = Conv1x1(F_global + F_local)               (zero-init projection)
 
     ``global_mode="mul"`` swaps the additive fusion for F_global * F_local
     (channel recalibration reading). ``use_global=False`` drops the global
-    branch entirely (the plain/residual channel-aggregation ablations).
+    branch entirely (the channel-aggregation ablation). The residual around
+    the block belongs to the caller.
     """
 
     def __init__(self, channels: int, rng: np.random.Generator, *,
                  expansion: int = 4, use_global: bool = True,
-                 global_mode: str = "add", residual: bool = True,
-                 dtype=np.float64):
+                 global_mode: str = "add", dtype=np.float64):
         super().__init__()
         if global_mode not in ("add", "mul"):
             raise ValueError(f"unknown global_mode {global_mode!r}")
         e = expansion * channels
-        self.use_global, self.global_mode, self.residual = use_global, global_mode, residual
+        self.use_global, self.global_mode = use_global, global_mode
         self.conv_in = Conv2d(channels, e, 1, rng=rng, dtype=dtype)
         self.dw = Conv2d(e, e, 3, padding=1, groups=e, rng=rng, dtype=dtype)
         self.local_conv = Conv2d(e, e, 1, rng=rng, dtype=dtype)
@@ -62,45 +62,38 @@ class CeFfn(Module):
                 else f_global + f_local
         else:
             fused = f_local
-        out = self.conv_out(fused)
-        return out + x if self.residual else out
+        return self.conv_out(fused)
 
 
 class VanillaFfn(Module):
     """Plain two-layer 1x1-conv FFN baseline."""
 
     def __init__(self, channels: int, rng: np.random.Generator, *,
-                 expansion: int = 4, residual: bool = True, dtype=np.float64):
+                 expansion: int = 4, dtype=np.float64):
         super().__init__()
-        self.residual = residual
         self.conv_in = Conv2d(channels, expansion * channels, 1, rng=rng, dtype=dtype)
         self.conv_out = Conv2d(expansion * channels, channels, 1,
                                zero_init=True, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = self.conv_out(self.conv_in(x).gelu())
-        return out + x if self.residual else out
+        return self.conv_out(self.conv_in(x).gelu())
 
 
 def make_ffn(kind: str, channels: int, rng: np.random.Generator, *,
-             expansion: int = 4, residual: bool = True, dtype=np.float64) -> Module:
-    """FFN ablation family; every member is an exact no-op at init (zero-init
-    output projection), with or without its own residual."""
+             expansion: int = 4, dtype=np.float64) -> Module:
+    """FFN ablation family; every member outputs exactly zero at init
+    (zero-init output projection), so the caller's residual is an identity."""
     if kind == "vanilla":
-        return VanillaFfn(channels, rng, expansion=expansion, residual=residual,
-                          dtype=dtype)
+        return VanillaFfn(channels, rng, expansion=expansion, dtype=dtype)
     if kind == "ca":
         return CeFfn(channels, rng, expansion=expansion, use_global=False,
-                     residual=False, dtype=dtype)
-    if kind == "residual_ca":
-        return CeFfn(channels, rng, expansion=expansion, use_global=False,
-                     residual=residual, dtype=dtype)
+                     dtype=dtype)
     if kind == "gated_ca":
         return CeFfn(channels, rng, expansion=expansion, global_mode="mul",
-                     residual=residual, dtype=dtype)
+                     dtype=dtype)
     if kind == "ce_ffn":
         return CeFfn(channels, rng, expansion=expansion, global_mode="add",
-                     residual=residual, dtype=dtype)
+                     dtype=dtype)
     raise ValueError(f"unknown ffn kind {kind!r}; choose from {FFN_KINDS}")
 
 

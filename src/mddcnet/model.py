@@ -19,8 +19,8 @@ from .ssm import MambaBlockConfig, MambaBlock2d
 from .ffn_attn import make_ffn, Csca, FFN_KINDS, NECK_ATTENTION_KINDS
 
 __all__ = ["VariantConfig", "variant_config", "VARIANT_NAMES", "MddcNet",
-           "Detection", "PyramidFeatures", "LayerNorm2d",
-           "count_params", "estimate_flops", "BUDGET_TARGETS"]
+           "Detection", "PyramidFeatures", "count_params", "estimate_flops",
+           "BUDGET_TARGETS"]
 
 VARIANT_NAMES = ("n", "t", "b", "n-toy")
 STAGE_KINDS = ("msddc", "mamba")
@@ -40,8 +40,6 @@ class VariantConfig:
     neck_attention: str = "csca"
     num_classes: int = 3
     input_size: int = 640              # position-embedding training size
-    norm: str = "bn"                   # "bn" | "ln"
-    shared_offsets: bool = True
     # width/budget knobs (calibrated against the published budget table)
     ffn_expansion: int = 1
     msddc_branch_div: int = 4          # branch width = max(C // div, 4)
@@ -62,8 +60,6 @@ class VariantConfig:
             raise ValueError(f"unknown ffn kind {self.ffn_kind!r}")
         if self.neck_attention not in NECK_ATTENTION_KINDS:
             raise ValueError(f"unknown neck attention {self.neck_attention!r}")
-        if self.norm not in ("bn", "ln"):
-            raise ValueError(f"unknown norm {self.norm!r}")
 
     def branch_channels(self, c: int) -> int:
         return max(c // self.msddc_branch_div, 4)
@@ -110,30 +106,6 @@ class Detection:
     box: tuple[float, float, float, float]   # x1, y1, x2, y2 in input pixels
 
 
-class LayerNorm2d(Module):
-    """Per-pixel normalization over the channel axis of [N,C,H,W]."""
-
-    def __init__(self, channels: int, *, eps: float = 1e-6, dtype=np.float64):
-        super().__init__()
-        self.eps = eps
-        self.gamma = Parameter(np.ones(channels, dtype=dtype))
-        self.beta = Parameter(np.zeros(channels, dtype=dtype))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        c = self.gamma.shape[0]
-        mu = x.mean(axis=1, keepdims=True)
-        xc = x - mu
-        var = (xc * xc).mean(axis=1, keepdims=True)
-        xn = xc / (var + self.eps).sqrt()
-        return xn * self.gamma.reshape(1, c, 1, 1) + self.beta.reshape(1, c, 1, 1)
-
-
-def _make_norm(cfg: VariantConfig, channels: int, dtype) -> Module:
-    if cfg.norm == "ln":
-        return LayerNorm2d(channels, dtype=dtype)
-    return BatchNorm2d(channels, dtype=dtype)
-
-
 class Stem(Module):
     """Two stride-2 conv+norm+GELU layers plus a learnable position embedding.
 
@@ -147,9 +119,9 @@ class Stem(Module):
         c1 = cfg.embed_dims[0]
         mid = max(c1 // 2, 4)
         self.conv1 = Conv2d(3, mid, 3, stride=2, padding=1, rng=rng, dtype=dtype)
-        self.norm1 = _make_norm(cfg, mid, dtype)
+        self.norm1 = BatchNorm2d(mid, dtype=dtype)
         self.conv2 = Conv2d(mid, c1, 3, stride=2, padding=1, rng=rng, dtype=dtype)
-        self.norm2 = _make_norm(cfg, c1, dtype)
+        self.norm2 = BatchNorm2d(c1, dtype=dtype)
         base = cfg.input_size // 4
         self.pos_embed = Parameter(np.zeros((1, c1, base, base), dtype=dtype))
 
@@ -171,20 +143,18 @@ class Block(Module):
                  rng: np.random.Generator, dtype=np.float64):
         super().__init__()
         self.kind = kind
-        self.norm1 = _make_norm(cfg, channels, dtype)
+        self.norm1 = BatchNorm2d(channels, dtype=dtype)
         if kind == "msddc":
             self.msddc = Msddc(MsddcConfig(
                 channels, channels, dilations=cfg.dilations,
-                shared_offsets=cfg.shared_offsets,
                 branch_channels=cfg.branch_channels(channels)), rng, dtype)
         else:
             self.mamba = MambaBlock2d(MambaBlockConfig(
                 d_model=channels, expand=cfg.mamba_expand,
                 d_state=cfg.d_state), rng, dtype)
-        self.norm2 = _make_norm(cfg, channels, dtype)
+        self.norm2 = BatchNorm2d(channels, dtype=dtype)
         self.ffn = make_ffn(cfg.ffn_kind, channels, rng,
-                            expansion=cfg.ffn_expansion, residual=False,
-                            dtype=dtype)
+                            expansion=cfg.ffn_expansion, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         mixer = self.msddc if self.kind == "msddc" else self.mamba
@@ -195,11 +165,11 @@ class Block(Module):
 class Downsample(Module):
     """Stride-2 3x3 conv + norm between stages."""
 
-    def __init__(self, cin: int, cout: int, cfg: VariantConfig,
-                 rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator,
+                 dtype=np.float64):
         super().__init__()
         self.conv = Conv2d(cin, cout, 3, stride=2, padding=1, rng=rng, dtype=dtype)
-        self.norm = _make_norm(cfg, cout, dtype)
+        self.norm = BatchNorm2d(cout, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.norm(self.conv(x))
@@ -322,7 +292,7 @@ class MddcNet(Module):
             setattr(self, f"stage{i + 1}", blocks)
             if i < 3:
                 setattr(self, f"down{i + 2}",
-                        Downsample(dims[i], dims[i + 1], cfg, rng, dtype))
+                        Downsample(dims[i], dims[i + 1], rng, dtype))
         self.neck = A2Fpn(dims[1:], cfg, rng, dtype)
         self.head = Head(cfg, rng, dtype)
 
@@ -381,11 +351,9 @@ def _mamba_flops(c: int, l: int, cfg: VariantConfig) -> int:
     s = cfg.d_state
     r = MambaBlockConfig(d_model=c, expand=cfg.mamba_expand,
                          d_state=s).resolved_dt_rank()
-    per_dir = 2 * l * di * (2 * r + 2 * s) + 8 * l * di * s
-    n_dir = 1  # forward-only default
     return (2 * l * c * 2 * di          # in_proj
             + 2 * l * di * 3            # sequence conv
-            + n_dir * per_dir           # projections + scan + readout
+            + 2 * l * di * (2 * r + 2 * s) + 8 * l * di * s   # projections + scan + readout
             + 2 * l * di * c)           # out_proj
 
 

@@ -40,10 +40,8 @@ class MsddcConfig:
     in_channels: int
     out_channels: int
     dilations: tuple[int, ...] = (1, 2, 4)
-    shared_offsets: bool = True
     # None: every branch outputs out_channels (concat = 3*Co into the 1x1 fuse)
     branch_channels: int | None = None
-    fuse_stride: int = 1
 
     def __post_init__(self):
         d = tuple(self.dilations)
@@ -194,25 +192,17 @@ class Msddc(Module):
         cb = cfg.branch_channels or cfg.out_channels
         self.offset_conv = Conv2d(cfg.in_channels, 18, 3, padding=1,
                                   zero_init=True, dtype=dtype)
-        if not cfg.shared_offsets:
-            for d in cfg.dilations:
-                setattr(self, f"offset_conv{d}",
-                        Conv2d(cfg.in_channels, 18, 3, padding=1,
-                               zero_init=True, dtype=dtype))
         for d in cfg.dilations:
             setattr(self, f"branch{d}",
                     Conv2d(cfg.in_channels, cb, 3, padding=d, dilation=d,
                            rng=rng, dtype=dtype))
         self.fuse = Conv2d(cb * len(cfg.dilations), cfg.out_channels, 1,
-                           stride=cfg.fuse_stride, rng=rng, dtype=dtype)
+                           rng=rng, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        cfg = self.cfg
-        shared = generate_offsets(x, self.offset_conv) if cfg.shared_offsets else None
+        off = generate_offsets(x, self.offset_conv)
         outs = []
-        for d in cfg.dilations:
-            off = shared if shared is not None else \
-                generate_offsets(x, getattr(self, f"offset_conv{d}"))
+        for d in self.cfg.dilations:
             branch = getattr(self, f"branch{d}")
             outs.append(deform_dilated_conv(x, off, branch.weight, branch.bias, d))
         return self.fuse(concat(outs, axis=1))

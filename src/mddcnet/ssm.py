@@ -19,14 +19,13 @@ from .tensor import (Tensor, Module, Parameter, Linear, linear_recurrence,
                      no_grad, scan_seq, flatten_hw, unflatten_hw,
                      kaiming_uniform)
 
-__all__ = ["MambaBlockConfig", "SsmParams", "discretize_zoh", "selective_scan",
+__all__ = ["MambaBlockConfig", "discretize_zoh", "selective_scan",
            "selective_scan_ref", "scan_scaling", "MambaBlock", "MambaBlock2d"]
 
 _SERIES_EPS = 1e-6
 # Tokens per chunk of the fused scan: a chunk's [N, T, D, S] working arrays
 # stay in cache, and backward keeps only the state at each chunk start.
 SCAN_CHUNK = 16
-_SSM_FIELDS = ("A_log", "D_skip", "proj_B", "proj_C", "dt_down", "dt_up")
 
 
 @dataclass
@@ -34,14 +33,10 @@ class MambaBlockConfig:
     d_model: int
     expand: int = 2
     d_state: int = 16
-    conv_width: int = 3
     # rank of the factored step-size projection; None: max(4, d_inner // 16)
     dt_rank: int | None = None
-    scan_direction: str = "forward"     # "forward" | "bidirectional"
 
     def __post_init__(self):
-        if self.scan_direction not in ("forward", "bidirectional"):
-            raise ValueError(f"unknown scan_direction {self.scan_direction!r}")
         if self.d_inner % 2:
             raise ValueError("d_inner must be even")
 
@@ -206,54 +201,22 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
     return Tensor._node(y, (u, delta, a, b, c, d_skip), back)
 
 
-class SsmParams(Module):
-    """State matrices and input-dependent projections of one scan direction.
-
-    A is parameterized as −exp(A_log) (always stable); A_log rows start at
-    log(1..S). The step size is softplus of a factored linear projection
-    (dt_up ∘ dt_down: D_inner→rank→D_inner) whose bias is drawn so the
-    initial step lands in [1e-3, 1e-1].
-    """
-
-    def __init__(self, cfg: MambaBlockConfig, rng: np.random.Generator,
-                 dtype=np.float64):
-        super().__init__()
-        di, s, r = cfg.d_inner, cfg.d_state, cfg.resolved_dt_rank()
-        self.A_log = Parameter(np.log(np.tile(np.arange(1.0, s + 1.0),
-                                              (di, 1))).astype(dtype))
-        self.D_skip = Parameter(np.ones(di, dtype=dtype))
-        self.proj_B = Linear(di, s, bias=False, rng=rng, dtype=dtype)
-        self.proj_C = Linear(di, s, bias=False, rng=rng, dtype=dtype)
-        self.dt_down = Linear(di, r, bias=False, rng=rng, dtype=dtype)
-        self.dt_up = Linear(r, di, rng=rng, dtype=dtype)
-        dt0 = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=di))
-        self.dt_up.bias.data = np.log(np.expm1(dt0)).astype(dtype)
-
-
-def _scan_inputs(p, u: Tensor) -> tuple:
-    """Arguments of ``selective_scan`` from any container exposing the
-    SsmParams fields."""
-    a = -p.A_log.exp()
-    delta = p.dt_up(p.dt_down(u)).softplus()
-    return u, delta, a, p.proj_B(u), p.proj_C(u), p.D_skip
-
-
-def scan_scaling(params, lengths, rounds: int,
+def scan_scaling(block: MambaBlock, lengths, rounds: int,
                  rng: np.random.Generator) -> tuple[dict, dict]:
     """Wall-clock cost of ``selective_scan`` under no_grad at each sequence
-    length, with inputs from the SsmParams-like ``params`` and batch 1.
+    length, with inputs from the scan parameters of ``block`` and batch 1.
 
     Every round times each length once, so a slow spell of the machine
     falls on neighbouring lengths alike. Returns the median seconds per
     length, and for each L whose double 2L is also timed the median over
     rounds of that round's time(2L)/time(L).
     """
-    di = params.D_skip.shape[0]
+    di = block.cfg.d_inner
     inputs = {}
     with no_grad():
         for length in lengths:
             u = Tensor(rng.standard_normal((1, length, di)))
-            inputs[length] = _scan_inputs(params, u)
+            inputs[length] = block._scan_inputs(u)
             selective_scan(*inputs[length])                 # warm up
         times = {length: [] for length in lengths}
         for _ in range(max(1, rounds)):
@@ -272,26 +235,31 @@ class MambaBlock(Module):
     in_proj widens to (main, gate); a width-3 depthwise sequence conv
     (zero-padded, non-causal) and SiLU precede the scan; the SiLU-gated
     result leaves through a zero-initialized out_proj, so a fresh block
-    is an exact no-op under a caller-side residual. The forward-direction
-    scan parameters live directly on the block (A_log, proj_B, ...);
-    bidirectional mode adds an independent reverse-direction set.
+    is an exact no-op under a caller-side residual.
+
+    A is parameterized as −exp(A_log) (always stable); A_log rows start at
+    log(1..S). The step size is softplus of a factored linear projection
+    (dt_up ∘ dt_down: D_inner→rank→D_inner) whose bias is drawn so the
+    initial step lands in [1e-3, 1e-1].
     """
 
     def __init__(self, cfg: MambaBlockConfig, rng: np.random.Generator,
                  dtype=np.float64):
         super().__init__()
-        if cfg.conv_width != 3:
-            raise ValueError("only conv_width=3 is supported")
         self.cfg = cfg
-        di = cfg.d_inner
+        di, s, r = cfg.d_inner, cfg.d_state, cfg.resolved_dt_rank()
         self.in_proj = Linear(cfg.d_model, 2 * di, bias=False, rng=rng, dtype=dtype)
         self.conv_weight = Parameter(kaiming_uniform(rng, (3, di), 3, dtype))
         self.conv_bias = Parameter(np.zeros(di, dtype=dtype))
-        fwd = SsmParams(cfg, rng, dtype)
-        for name in _SSM_FIELDS:
-            setattr(self, name, getattr(fwd, name))
-        if cfg.scan_direction == "bidirectional":
-            self.rev = SsmParams(cfg, rng, dtype)
+        self.A_log = Parameter(np.log(np.tile(np.arange(1.0, s + 1.0),
+                                              (di, 1))).astype(dtype))
+        self.D_skip = Parameter(np.ones(di, dtype=dtype))
+        self.proj_B = Linear(di, s, bias=False, rng=rng, dtype=dtype)
+        self.proj_C = Linear(di, s, bias=False, rng=rng, dtype=dtype)
+        self.dt_down = Linear(di, r, bias=False, rng=rng, dtype=dtype)
+        self.dt_up = Linear(r, di, rng=rng, dtype=dtype)
+        dt0 = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=di))
+        self.dt_up.bias.data = np.log(np.expm1(dt0)).astype(dtype)
         self.out_proj = Linear(di, cfg.d_model, zero_init=True, dtype=dtype)
 
     def _seq_conv(self, u: Tensor) -> Tensor:
@@ -300,16 +268,18 @@ class MambaBlock(Module):
         return (up[:, :-2] * w[0] + up[:, 1:-1] * w[1] + up[:, 2:] * w[2]
                 + self.conv_bias)
 
+    def _scan_inputs(self, u: Tensor) -> tuple:
+        """Arguments of ``selective_scan`` for the scan input ``u``."""
+        a = -self.A_log.exp()
+        delta = self.dt_up(self.dt_down(u)).softplus()
+        return u, delta, a, self.proj_B(u), self.proj_C(u), self.D_skip
+
     def __call__(self, x: Tensor) -> Tensor:
-        cfg = self.cfg
-        di = cfg.d_inner
+        di = self.cfg.d_inner
         proj = self.in_proj(x)
         u, gate = proj[:, :, :di], proj[:, :, di:]
         u = self._seq_conv(u).silu()
-        y = selective_scan(*_scan_inputs(self, u))
-        if cfg.scan_direction == "bidirectional":
-            y_rev = selective_scan(*_scan_inputs(self.rev, u.flip(1))).flip(1)
-            y = (y + y_rev) * 0.5
+        y = selective_scan(*self._scan_inputs(u))
         return self.out_proj(y * gate.silu())
 
 

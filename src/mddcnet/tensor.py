@@ -31,8 +31,6 @@ __all__ = [
     "upsample_nearest_to",
     "adaptive_avg_pool2d",
     "global_avg_pool",
-    "avg_pool2d",
-    "max_pool2d",
     "channel_max",
     "channel_mean",
     "bilinear_resize",
@@ -368,10 +366,6 @@ class Tensor:
         return Tensor._node(self.data.transpose(axes), (self,),
                             lambda g: (g.transpose(inv),))
 
-    def flip(self, axis: int):
-        return Tensor._node(np.flip(self.data, axis).copy(), (self,),
-                            lambda g: (np.flip(g, axis).copy(),))
-
     def pad(self, pad_width):
         """Zero padding; ``pad_width`` as for np.pad."""
         out = np.pad(self.data, pad_width)
@@ -572,62 +566,6 @@ def channel_mean(x: Tensor) -> Tensor:
 
 def channel_max(x: Tensor) -> Tensor:
     return x.max(axis=1, keepdims=True)
-
-
-def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    if kernel < 1:
-        raise ValueError("avg_pool2d: kernel must be positive")
-    stride = stride or kernel
-    n, c, h, w = x.shape
-    if kernel > h or kernel > w:
-        raise ValueError(f"avg_pool2d: kernel {kernel} larger than input {h}x{w}")
-    oh = (h - kernel) // stride + 1
-    ow = (w - kernel) // stride + 1
-    xd = x.data
-    s0, s1, s2, s3 = xd.strides
-    win = as_strided(xd, (n, c, oh, ow, kernel, kernel),
-                     (s0, s1, s2 * stride, s3 * stride, s2, s3))
-    out = win.mean(axis=(4, 5))
-    inv = 1.0 / (kernel * kernel)
-
-    def back(g):
-        gx = np.zeros_like(xd)
-        gk = g * inv
-        for i in range(kernel):
-            for j in range(kernel):
-                gx[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += gk
-        return (gx,)
-
-    return Tensor._node(out, (x,), back)
-
-
-def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    stride = stride or kernel
-    n, c, h, w = x.shape
-    if kernel > h or kernel > w:
-        raise ValueError(f"max_pool2d: kernel {kernel} larger than input {h}x{w}")
-    oh = (h - kernel) // stride + 1
-    ow = (w - kernel) // stride + 1
-    xd = x.data
-    s0, s1, s2, s3 = xd.strides
-    win = as_strided(xd, (n, c, oh, ow, kernel, kernel),
-                     (s0, s1, s2 * stride, s3 * stride, s2, s3))
-    flat = win.reshape(n, c, oh, ow, kernel * kernel)
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-
-    def back(g):
-        gx = np.zeros_like(xd)
-        ky, kx = np.divmod(arg, kernel)
-        hy = np.arange(oh)[None, None, :, None] * stride + ky
-        wx = np.arange(ow)[None, None, None, :] * stride + kx
-        nn = np.arange(n)[:, None, None, None]
-        cc = np.arange(c)[None, :, None, None]
-        np.add.at(gx, (np.broadcast_to(nn, arg.shape), np.broadcast_to(cc, arg.shape),
-                       hy, wx), g)
-        return (gx,)
-
-    return Tensor._node(out.copy(), (x,), back)
 
 
 def adaptive_avg_pool2d(x: Tensor, grid: tuple[int, int]) -> Tensor:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import Tensor, Conv2d, concat, conv2d, no_grad
-from .msddc import Msddc, MsddcConfig, deform_dilated_conv
+from .msddc import Msddc, MsddcConfig, bilinear_sample, deform_dilated_conv
 from .ssm import (SCAN_CHUNK, MambaBlock, MambaBlockConfig, discretize_zoh,
                   selective_scan, selective_scan_ref)
 from .ffn_attn import Csca, FFN_KINDS, make_ffn
@@ -122,6 +122,39 @@ def check_msddc_integer_offset_is_shift(rng) -> str:
         worst = max(worst, _max_abs(got.data[:, :, :-1], ref.data[:, :, 1:]))
     _require(worst <= TOL_ORACLE, f"shift mismatch {worst:.3e}")
     return f"max err {worst:.3e}"
+
+
+def check_msddc_fractional_offset_matches_bilinear_sample(rng) -> str:
+    """At random fractional offsets, some pushing taps partly or wholly off
+    the image, the deformable conv equals the scalar oracle: bias plus the
+    sum over channels and taps of weight times ``bilinear_sample`` at the
+    tap's displaced position."""
+    n, c, co, h, w = 2, 2, 3, 6, 7
+    worst, off_image = 0.0, 0
+    for d in (1, 2, 4):
+        x = Tensor(rng.standard_normal((n, c, h, w)))
+        off = rng.uniform(-2.0, 2.0, (n, 18, h, w))
+        wt = rng.standard_normal((co, c, 3, 3))
+        bias = rng.standard_normal(co)
+        got = deform_dilated_conv(x, Tensor(off), Tensor(wt), Tensor(bias), d).data
+        ref = np.empty_like(got)
+        with no_grad():
+            for b in range(n):
+                for y in range(h):
+                    for x0 in range(w):
+                        py = y + d * (np.arange(9) // 3 - 1) + off[b, 0::2, y, x0]
+                        px = x0 + d * (np.arange(9) % 3 - 1) + off[b, 1::2, y, x0]
+                        off_image += int(np.sum(
+                            (np.floor(py) < 0) | (np.floor(py) >= h - 1)
+                            | (np.floor(px) < 0) | (np.floor(px) >= w - 1)))
+                        taps = [[bilinear_sample(x, py[k], px[k], b, ci).item()
+                                 for k in range(9)] for ci in range(c)]
+                        ref[b, :, y, x0] = wt.reshape(co, -1) @ np.ravel(taps) + bias
+        worst = max(worst, _max_abs(got, ref))
+    _require(off_image > 0, "no tap read outside the image")
+    _require(worst <= TOL_ORACLE, f"max |deform - bilinear oracle| = {worst:.3e}")
+    return (f"d in (1,2,4), {off_image} taps with an off-image corner, "
+            f"max err {worst:.3e}")
 
 
 def check_msddc_translation_equivariance(rng) -> str:
@@ -245,33 +278,32 @@ def check_ssm_frozen_scan_matches_conv(rng) -> str:
 def check_ssm_mamba_identity_at_init(rng) -> str:
     """A fresh sequence-mixer block outputs exactly zero (zero-initialized
     output projection), so a caller residual is a bit-exact identity."""
-    for direction in ("forward", "bidirectional"):
-        blk = MambaBlock(MambaBlockConfig(d_model=6, d_state=4,
-                                          scan_direction=direction), rng)
-        x = Tensor(rng.standard_normal((2, 11, 6)))
-        y = blk(x)
-        _require(np.all(y.data == 0.0),
-                 f"fresh block ({direction}) is not exactly zero")
-        _require(np.all((x + y).data == x.data),
-                 f"residual identity broken ({direction})")
-    return "bit-exact, forward + bidirectional"
+    blk = MambaBlock(MambaBlockConfig(d_model=6, d_state=4), rng)
+    x = Tensor(rng.standard_normal((2, 11, 6)))
+    y = blk(x)
+    _require(np.all(y.data == 0.0), "fresh block is not exactly zero")
+    _require(np.all((x + y).data == x.data), "residual identity broken")
+    return "bit-exact"
 
 
 # -- ffn / attention -----------------------------------------------------------
 
 def check_ffn_identity_at_init(rng) -> str:
-    """Every FFN family member starts as an exact no-op (zero output conv)."""
+    """Every FFN family member starts as an exact no-op (zero output conv):
+    ffn(x) == 0 and x + ffn(x) == x bitwise."""
     x = Tensor(rng.standard_normal((2, 5, 6, 6)))
     for kind in FFN_KINDS:
-        ffn = make_ffn(kind, 5, rng, expansion=2, residual=False)
-        _require(np.all(ffn(x).data == 0.0), f"{kind} not exactly zero at init")
+        y = make_ffn(kind, 5, rng, expansion=2)(x)
+        _require(np.all(y.data == 0.0), f"{kind} not exactly zero at init")
+        _require(np.array_equal((x + y).data, x.data),
+                 f"{kind}: residual identity broken")
     return f"{len(FFN_KINDS)} kinds bit-exact"
 
 
 def check_ffn_scalar_pipeline(rng) -> str:
     """One-pixel, one-channel trace through the expand/local/global pipeline
     cross-checked against an independent closed-form recomputation."""
-    ffn = make_ffn("ce_ffn", 1, rng, expansion=4, residual=True)
+    ffn = make_ffn("ce_ffn", 1, rng, expansion=4)
     for _, p in ffn.named_parameters():
         p.data = rng.standard_normal(p.data.shape) * 0.5
     xval = 0.7
@@ -291,7 +323,7 @@ def check_ffn_scalar_pipeline(rng) -> str:
     gconv = ffn.global_conv.weight.data[:, :, 0, 0] @ y + ffn.global_conv.bias.data
     f_global = 1.0 / (1.0 + np.exp(-gconv))
     ref = (ffn.conv_out.weight.data[0, :, 0, 0] @ (f_global + f_local)
-           + ffn.conv_out.bias.data).item() + xval
+           + ffn.conv_out.bias.data).item()
     err = abs(got - ref)
     _require(err <= 1e-9, f"scalar pipeline off by {err:.3e}")
     return f"err {err:.3e}"
@@ -654,6 +686,8 @@ CHECKS = {
     "msddc.fresh_module_matches_dilated": check_msddc_fresh_module_matches_dilated,
     "msddc.param_count_example": check_msddc_param_count_example,
     "msddc.integer_offset_is_shift": check_msddc_integer_offset_is_shift,
+    "msddc.fractional_offset_matches_bilinear_sample":
+        check_msddc_fractional_offset_matches_bilinear_sample,
     "msddc.translation_equivariance": check_msddc_translation_equivariance,
     "ssm.par_matches_seq": check_ssm_par_matches_seq,
     "ssm.zoh_scalar": check_ssm_zoh_scalar,

@@ -29,7 +29,7 @@ from mddcnet.tensor import Tensor
 from mddcnet.gradcheck import block_gradcheck_suite
 from mddcnet.model import (BUDGET_TARGETS, MddcNet, count_params,
                            estimate_flops, variant_config)
-from mddcnet.ssm import MambaBlock, MambaBlockConfig, SsmParams, scan_scaling
+from mddcnet.ssm import MambaBlock, MambaBlockConfig, scan_scaling
 from mddcnet.ffn_attn import Csca, make_ffn
 from mddcnet.data import generate_split
 from mddcnet.train import (TrainConfig, train_loop, detection_loss,
@@ -99,9 +99,10 @@ def test_c3_identity_at_init():
                      np.random.default_rng(1))
     if not np.all(blk(x_seq).data == 0.0):
         ok, notes = False, notes + ["mamba"]
-    for kind in ("vanilla", "ce_ffn", "gated_ca", "residual_ca"):
-        m = make_ffn(kind, 6, np.random.default_rng(2))
-        if not np.array_equal(m(x_map).data, x_map.data):
+    for kind in ("vanilla", "ca", "gated_ca", "ce_ffn"):
+        y = make_ffn(kind, 6, np.random.default_rng(2))(x_map)
+        if not (np.all(y.data == 0.0)
+                and np.array_equal((x_map + y).data, x_map.data)):
             ok, notes = False, notes + [f"ffn:{kind}"]
     for kind in ("csca", "mlca", "concat"):
         m = Csca(6, np.random.default_rng(3), kind=kind)
@@ -133,8 +134,8 @@ def test_c5_scan_scaling():
     # median over interleaved rounds of the per-round time(2L)/time(L), so
     # a slow spell of the machine cannot fall on one length alone
     cfg = MambaBlockConfig(d_model=32, expand=2, d_state=16)   # D_inner = 64
-    params = SsmParams(cfg, np.random.default_rng(0))
-    _, ratios = scan_scaling(params, (1024, 2048, 4096, 8192), SCALING_ROUNDS,
+    block = MambaBlock(cfg, np.random.default_rng(0))
+    _, ratios = scan_scaling(block, (1024, 2048, 4096, 8192), SCALING_ROUNDS,
                              np.random.default_rng(1))
     ok = all(SCALING_BAND[0] <= r <= SCALING_BAND[1] for r in ratios.values())
     _verdict("C5 scan-scaling", ok,

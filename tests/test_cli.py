@@ -12,6 +12,10 @@ from mddcnet.io import read_ppm, write_ppm, load_checkpoint
 from mddcnet.data import generate_scene
 
 
+# the deleted FFN kind that built the same model as "ca"
+DELETED_FFN_KIND = "residual" "_ca"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -92,6 +96,12 @@ def test_report_unknown_variant_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["report", "--variant", "xxl"])
     assert exc.value.code == 2       # argparse rejects bad choices with 2
+
+
+def test_removed_ffn_kind_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--ffn", DELETED_FFN_KIND])
+    assert exc.value.code == 2
 
 
 def test_bad_stage_kinds_is_usage_error(capsys):
@@ -187,6 +197,44 @@ def test_config_file_bad_syntax_is_usage_error(capsys, tmp_path):
     cfg.write_text("just some words\n")
     code, _, err = run(capsys, "train", "--config", str(cfg))
     assert code == 2
+
+
+def _spy_on_verify(monkeypatch):
+    """Replace the verify subcommand with one that records its arguments."""
+    seen = {}
+
+    def spy(args):
+        seen.update(vars(args))
+        return 0
+    monkeypatch.setattr("mddcnet.cli.cmd_verify", spy)
+    return seen
+
+
+def test_explicit_flag_beats_config_file(capsys, tmp_path, monkeypatch):
+    seen = _spy_on_verify(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 5\nprecision = f32\n")
+    code, _, _ = run(capsys, "verify", "--seed", "9", "--config", str(cfg))
+    assert code == 0
+    assert seen["seed"] == 9 and seen["precision"] == "f32"
+
+
+def test_config_file_beats_builtin_default(capsys, tmp_path, monkeypatch):
+    seen = _spy_on_verify(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 5\nffn = vanilla\n")
+    code, _, _ = run(capsys, "verify", "--config", str(cfg))
+    assert code == 0
+    assert seen["seed"] == 5 and seen["ffn"] == "vanilla"
+
+
+@pytest.mark.parametrize("line", ["seed = five", "precision = f16",
+                                  f"ffn = {DELETED_FFN_KIND}", "variant = xxl"])
+def test_config_file_bad_value_is_usage_error(capsys, tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = run(capsys, "report", "--config", str(cfg))
+    assert code == 2 and "usage error" in err and line.split()[0] in err
 
 
 # -- bench -----------------------------------------------------------------------

@@ -10,8 +10,7 @@ from mddcnet.data import generate_scene, generate_split, NUM_CLASSES
 from mddcnet.train import (Sgd, TrainConfig, assign_targets, cosine_lr,
                            detection_loss, route_level, stack_targets,
                            train_loop, TrainDivergence)
-from mddcnet.eval import (average_precision, box_iou, compute_map, iou_matrix,
-                          nms)
+from mddcnet.eval import average_precision, box_iou, compute_map, nms
 from mddcnet.verify import CHECKS
 
 RNG = np.random.default_rng(8)
@@ -195,17 +194,6 @@ def test_box_iou_known_values():
     assert box_iou((0, 0, 2, 2), (1, 1, 3, 3)) == pytest.approx(1 / 7)
     assert box_iou((0, 0, 1, 1), (2, 2, 3, 3)) == 0.0
     assert box_iou((0, 0, 2, 2), (0, 0, 2, 2)) == 1.0
-
-
-def test_iou_matrix_matches_scalar():
-    a = RNG.uniform(0, 50, (6, 4))
-    b = RNG.uniform(0, 50, (5, 4))
-    a[:, 2:] += a[:, :2]
-    b[:, 2:] += b[:, :2]
-    m = iou_matrix(a, b)
-    for i in range(6):
-        for j in range(5):
-            assert m[i, j] == pytest.approx(box_iou(a[i], b[j]), abs=1e-12)
 
 
 def test_nms_suppresses_within_class_only():
