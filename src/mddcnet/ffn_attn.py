@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (Tensor, Module, Parameter, Conv2d, concat, channel_mean,
-                     channel_max, global_avg_pool, adaptive_avg_pool2d,
-                     upsample_nearest_to)
+from .tensor import (Tensor, Module, Parameter, Conv2d, concat,
+                     adaptive_avg_pool2d, upsample_nearest_to)
 
 __all__ = ["CeFfn", "VanillaFfn", "make_ffn", "FFN_KINDS",
            "SpatialAttention", "Mlca", "ScaleCalibration", "Csca",
@@ -57,7 +56,7 @@ class CeFfn(Module):
         y = self.dw(self.conv_in(x)).gelu()
         f_local = self.r.reshape(1, e, 1, 1) * (y - self.local_conv(y).gelu()) + y
         if self.use_global:
-            f_global = self.global_conv(global_avg_pool(y)).sigmoid()
+            f_global = self.global_conv(y.mean(axis=(2, 3), keepdims=True)).sigmoid()
             fused = f_global * f_local if self.global_mode == "mul" \
                 else f_global + f_local
         else:
@@ -105,7 +104,8 @@ class SpatialAttention(Module):
         self.conv = Conv2d(2, 1, 7, padding=3, rng=rng, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        m = self.conv(concat([channel_mean(x), channel_max(x)], axis=1)).sigmoid()
+        m = self.conv(concat([x.mean(axis=1, keepdims=True),
+                              x.max(axis=1, keepdims=True)], axis=1)).sigmoid()
         return x * m
 
 
@@ -134,7 +134,7 @@ class Mlca(Module):
         _, _, h, w = x.shape
         if h < 1 or w < 1:
             raise ValueError("mlca needs a non-empty spatial extent")
-        w_g = self._channel_mix(global_avg_pool(x))
+        w_g = self._channel_mix(x.mean(axis=(2, 3), keepdims=True))
         pooled = adaptive_avg_pool2d(x, (min(self.grid, h), min(self.grid, w)))
         w_l = upsample_nearest_to(self._channel_mix(pooled), h, w)
         return x * (w_g * self.beta + w_l * (1.0 - self.beta))

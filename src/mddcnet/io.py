@@ -1,6 +1,6 @@
-"""Binary containers: raw tensor files, checkpoints, and PPM images.
+"""Binary containers: tensor records, checkpoints, and PPM images.
 
-Tensor file layout (little-endian):
+Tensor record layout (little-endian):
     8-byte magic "MDDCTNSR" | u32 rank | rank x u32 extents |
     u8 dtype tag (0 = f32, 1 = f64) | payload
 
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "save_tensor", "load_tensor", "tensor_bytes", "tensor_from_bytes",
+    "tensor_bytes", "tensor_from_bytes",
     "save_checkpoint", "load_checkpoint", "CheckpointError",
     "read_ppm", "write_ppm",
 ]
@@ -61,15 +61,6 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     nbytes = count * dtype.itemsize
     arr = np.frombuffer(buf, dtype=dtype, count=count, offset=offset).reshape(shape)
     return arr.astype(dtype.newbyteorder("=")), offset + nbytes
-
-
-def save_tensor(path, arr: np.ndarray):
-    Path(path).write_bytes(tensor_bytes(arr))
-
-
-def load_tensor(path) -> np.ndarray:
-    arr, _ = tensor_from_bytes(Path(path).read_bytes())
-    return arr
 
 
 def save_checkpoint(path, state: dict[str, np.ndarray]):

@@ -20,10 +20,12 @@ from .ffn_attn import make_ffn, Csca, FFN_KINDS, NECK_ATTENTION_KINDS
 
 __all__ = ["VariantConfig", "variant_config", "VARIANT_NAMES", "MddcNet",
            "Detection", "PyramidFeatures", "count_params", "estimate_flops",
-           "BUDGET_TARGETS"]
+           "BUDGET_TARGETS", "NUM_CLASSES"]
 
 VARIANT_NAMES = ("n", "t", "b", "n-toy")
 STAGE_KINDS = ("msddc", "mamba")
+NUM_CLASSES = 3
+FFN_EXPANSION = 1
 
 # published budget targets at 640x640: (params, flops)
 BUDGET_TARGETS = {"n": (4.8e6, 10.2e9), "t": (6.6e6, 12.9e9), "b": (18.0e6, 39.6e9)}
@@ -38,17 +40,15 @@ class VariantConfig:
     dilations: tuple[int, ...] = (1, 2, 4)
     ffn_kind: str = "ce_ffn"
     neck_attention: str = "csca"
-    num_classes: int = 3
     input_size: int = 640              # position-embedding training size
     # width/budget knobs (calibrated against the published budget table)
-    ffn_expansion: int = 1
     msddc_branch_div: int = 4          # branch width = max(C // div, 4)
     neck_width: int = 128
     head_widths: tuple[int, int, int] = (48, 96, 224)
     head_depth: int = 2
     d_state: int = 16
-    mamba_expand: int = 2
-    strides: tuple[int, int, int] = (8, 16, 32)
+    # not a field: the P3/P4/P5 outputs of the architecture sit at these strides
+    strides = (8, 16, 32)
 
     def __post_init__(self):
         if len(self.embed_dims) != 4 or len(self.depths) != 4:
@@ -150,11 +150,10 @@ class Block(Module):
                 branch_channels=cfg.branch_channels(channels)), rng, dtype)
         else:
             self.mamba = MambaBlock2d(MambaBlockConfig(
-                d_model=channels, expand=cfg.mamba_expand,
-                d_state=cfg.d_state), rng, dtype)
+                d_model=channels, d_state=cfg.d_state), rng, dtype)
         self.norm2 = BatchNorm2d(channels, dtype=dtype)
         self.ffn = make_ffn(cfg.ffn_kind, channels, rng,
-                            expansion=cfg.ffn_expansion, dtype=dtype)
+                            expansion=FFN_EXPANSION, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         mixer = self.msddc if self.kind == "msddc" else self.mamba
@@ -187,8 +186,7 @@ class A2Fpn(Module):
                  rng: np.random.Generator, dtype=np.float64):
         super().__init__()
         w = cfg.neck_width
-        mcfg = MambaBlockConfig(d_model=w, expand=cfg.mamba_expand,
-                                d_state=cfg.d_state)
+        mcfg = MambaBlockConfig(d_model=w, d_state=cfg.d_state)
         for i, cin in zip((3, 4, 5), in_dims):
             setattr(self, f"lateral{i}", Conv2d(cin, w, 1, rng=rng, dtype=dtype))
             setattr(self, f"mamba{i}", MambaBlock2d(mcfg, rng, dtype))
@@ -242,7 +240,7 @@ class Head(Module):
                  dtype=np.float64):
         super().__init__()
         self.levels = [HeadLevel(cfg.neck_width, w, cfg.head_depth,
-                                 cfg.num_classes, rng, dtype)
+                                 NUM_CLASSES, rng, dtype)
                        for w in cfg.head_widths]
 
     def __call__(self, pyr: PyramidFeatures):
@@ -347,10 +345,8 @@ def _cf(cout, cin, k, h, w, groups=1):
 
 
 def _mamba_flops(c: int, l: int, cfg: VariantConfig) -> int:
-    di = c * cfg.mamba_expand
-    s = cfg.d_state
-    r = MambaBlockConfig(d_model=c, expand=cfg.mamba_expand,
-                         d_state=s).resolved_dt_rank()
+    mcfg = MambaBlockConfig(d_model=c, d_state=cfg.d_state)
+    di, s, r = mcfg.d_inner, mcfg.d_state, mcfg.resolved_dt_rank()
     return (2 * l * c * 2 * di          # in_proj
             + 2 * l * di * 3            # sequence conv
             + 2 * l * di * (2 * r + 2 * s) + 8 * l * di * s   # projections + scan + readout
@@ -368,7 +364,7 @@ def _msddc_flops(c: int, h: int, w: int, cfg: VariantConfig) -> int:
 
 
 def _ffn_flops(c: int, h: int, w: int, cfg: VariantConfig) -> int:
-    e = cfg.ffn_expansion * c
+    e = FFN_EXPANSION * c
     total = _cf(e, c, 1, h, w) + _cf(c, e, 1, h, w)   # in/out projections
     if cfg.ffn_kind == "vanilla":
         return total
@@ -423,7 +419,7 @@ def estimate_flops(cfg: VariantConfig, input_size: int = 640) -> dict[str, int]:
     for hw, hwid in zip(sizes[1:], cfg.head_widths):
         head += _cf(hwid, w, 1, hw, hw)
         head += 2 * cfg.head_depth * _cf(hwid, hwid, 3, hw, hw)
-        head += _cf(cfg.num_classes + 5, hwid, 1, hw, hw)
+        head += _cf(NUM_CLASSES + 5, hwid, 1, hw, hw)
     out["head"] = head
 
     out["total"] = sum(out[s] for s in _SECTIONS)

@@ -7,32 +7,17 @@ taps; three dilated deformable branches share that offset field and a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import Tensor, Module, Conv2d, concat
 
-__all__ = ["MsddcConfig", "Msddc", "OffsetField", "generate_offsets",
-           "bilinear_sample", "deform_dilated_conv"]
+__all__ = ["MsddcConfig", "Msddc", "bilinear_sample", "deform_dilated_conv"]
 
 # 3x3 taps in row-major kernel order; offset channels are tap-major (dy, dx) pairs
 _TAP_DY = np.repeat(np.arange(-1, 2), 3)
 _TAP_DX = np.tile(np.arange(-1, 2), 3)
-
-
-@dataclass
-class OffsetField:
-    """Per-pixel displacements for the 9 taps of a 3x3 deformable kernel.
-
-    tensor: [N, 18, H, W]; channel 2k is tap k's dy, channel 2k+1 its dx,
-    in input-pixel units.
-    """
-    tensor: Tensor
-
-    def __post_init__(self):
-        if self.tensor.ndim != 4 or self.tensor.shape[1] != 18:
-            raise ValueError(f"OffsetField needs 18 channels, got shape {self.tensor.shape}")
 
 
 @dataclass
@@ -48,16 +33,6 @@ class MsddcConfig:
         if not d or any(x < 1 for x in d) or any(b <= a for a, b in zip(d, d[1:])):
             raise ValueError(f"dilations must be non-empty, >=1, strictly increasing: {d}")
         self.dilations = d
-
-
-def generate_offsets(x: Tensor, offset_conv: Conv2d) -> OffsetField:
-    """Run the 3x3 offset conv (zero-initialized, so offsets start at 0)."""
-    w = offset_conv.weight
-    if w.shape[0] != 18 or w.shape[2:] != (3, 3):
-        raise ValueError(f"offset conv must be 3x3 with 18 outputs, got {w.shape}")
-    if offset_conv.stride != 1 or offset_conv.padding != 1:
-        raise ValueError("offset conv must be stride 1, padding 1")
-    return OffsetField(offset_conv(x))
 
 
 def bilinear_sample(x: Tensor, py, px, n: int, c: int) -> Tensor:
@@ -98,23 +73,23 @@ def bilinear_sample(x: Tensor, py, px, n: int, c: int) -> Tensor:
     return Tensor._node(np.asarray(val), (x, py, px), back)
 
 
-def deform_dilated_conv(x: Tensor, offsets: OffsetField | Tensor, weight: Tensor,
+def deform_dilated_conv(x: Tensor, offsets: Tensor, weight: Tensor,
                         bias: Tensor | None, dilation: int) -> Tensor:
     """3x3 deformable convolution at a given dilation, stride 1, padding = d.
 
+    offsets: [N, 18, H, W]; channel 2k is tap k's dy, channel 2k+1 its dx.
     Output pixel (y, x0), tap (i, j): sample the input at
     (y + d*i + dy_ij, x0 + d*j + dx_ij) bilinearly; out-of-image neighbors
     read zero. Offsets are in input pixels and are not scaled by ``dilation``.
     """
-    off_t = offsets.tensor if isinstance(offsets, OffsetField) else offsets
     n, c, h, w = x.shape
-    if off_t.shape != (n, 18, h, w):
-        raise ValueError(f"offset field {off_t.shape} does not match input {x.shape}")
+    if offsets.shape != (n, 18, h, w):
+        raise ValueError(f"offset field {offsets.shape} does not match input {x.shape}")
     co = weight.shape[0]
     if weight.shape != (co, c, 3, 3):
         raise ValueError(f"deformable weight must be [Co,{c},3,3], got {weight.shape}")
 
-    xd, od, wd = x.data, off_t.data, weight.data
+    xd, od, wd = x.data, offsets.data, weight.data
     hw = h * w
     yy = np.arange(h, dtype=xd.dtype)[None, None, :, None]
     xx = np.arange(w, dtype=xd.dtype)[None, None, None, :]
@@ -150,7 +125,7 @@ def deform_dilated_conv(x: Tensor, offsets: OffsetField | Tensor, weight: Tensor
     out = np.matmul(w2, srs).reshape(n, co, h, w)
     if bias is not None:
         out += bias.data.reshape(1, co, 1, 1)
-    parents = [x, off_t, weight] + ([bias] if bias is not None else [])
+    parents = [x, offsets, weight] + ([bias] if bias is not None else [])
 
     def back(g):
         gflat = g.reshape(n, co, hw)
@@ -184,7 +159,11 @@ def deform_dilated_conv(x: Tensor, offsets: OffsetField | Tensor, weight: Tensor
 
 
 class Msddc(Module):
-    """Offset generation, shared-offset dilated deformable branches, 1x1 fusion."""
+    """Offset generation, shared-offset dilated deformable branches, 1x1 fusion.
+
+    Each ``branch{d}`` is a dilated Conv2d whose weights the deformable
+    branch reads; called directly it is that branch at zero offset.
+    """
 
     def __init__(self, cfg: MsddcConfig, rng: np.random.Generator, dtype=np.float64):
         super().__init__()
@@ -200,7 +179,7 @@ class Msddc(Module):
                            rng=rng, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        off = generate_offsets(x, self.offset_conv)
+        off = self.offset_conv(x)
         outs = []
         for d in self.cfg.dilations:
             branch = getattr(self, f"branch{d}")

@@ -30,11 +30,7 @@ __all__ = [
     "upsample_nearest",
     "upsample_nearest_to",
     "adaptive_avg_pool2d",
-    "global_avg_pool",
-    "channel_max",
-    "channel_mean",
     "bilinear_resize",
-    "linear_recurrence",
     "scan_seq",
 ]
 
@@ -110,12 +106,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.item())
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
@@ -235,23 +225,16 @@ class Tensor:
     def __rtruediv__(self, other):
         return Tensor._coerce(other) / self
 
-    def __pow__(self, p: float):
-        d = self.data
-        return Tensor._node(d ** p, (self,), lambda g: (g * p * d ** (p - 1),))
-
     # -- elementwise functions ------------------------------------------
 
     def exp(self):
         out = np.exp(self.data)
         return Tensor._node(out, (self,), lambda g: (g * out,))
 
-    def log(self):
-        d = self.data
-        return Tensor._node(np.log(d), (self,), lambda g: (g / d,))
-
-    def sqrt(self):
-        out = np.sqrt(self.data)
-        return Tensor._node(out, (self,), lambda g: (g * 0.5 / out,))
+    def expm1(self):
+        """exp(x) - 1, accurate for small |x|."""
+        out = np.expm1(self.data)
+        return Tensor._node(out, (self,), lambda g: (g * (out + 1.0),))
 
     def sigmoid(self):
         d = self.data
@@ -292,11 +275,6 @@ class Tensor:
             return (g * s,)
 
         return Tensor._node(out, (self,), back)
-
-    def relu(self):
-        d = self.data
-        mask = d > 0
-        return Tensor._node(d * mask, (self,), lambda g: (g * mask,))
 
     def clamp(self, lo=None, hi=None):
         d = self.data
@@ -555,19 +533,6 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
 # -- pooling / resampling ------------------------------------------------------
 
-def global_avg_pool(x: Tensor) -> Tensor:
-    """[N,C,H,W] -> [N,C,1,1]."""
-    return x.mean(axis=(2, 3), keepdims=True)
-
-
-def channel_mean(x: Tensor) -> Tensor:
-    return x.mean(axis=1, keepdims=True)
-
-
-def channel_max(x: Tensor) -> Tensor:
-    return x.max(axis=1, keepdims=True)
-
-
 def adaptive_avg_pool2d(x: Tensor, grid: tuple[int, int]) -> Tensor:
     """Average-pool to a ``gh x gw`` grid with torch-style cell boundaries."""
     n, c, h, w = x.shape
@@ -671,29 +636,6 @@ def scan_seq(abar: np.ndarray, bu: np.ndarray,
     return h
 
 
-def linear_recurrence(abar: Tensor, bu: Tensor) -> Tensor:
-    """Differentiable h_t = abar_t ⊙ h_{t-1} + bu_t along axis 1."""
-    if abar.shape != bu.shape:
-        raise ValueError(f"linear_recurrence: shape mismatch {abar.shape} vs {bu.shape}")
-    ad = abar.data
-    h = scan_seq(ad, bu.data)
-
-    def back(g):
-        l = g.shape[1]
-        q = np.empty_like(g)
-        acc = g[:, l - 1].copy()
-        q[:, l - 1] = acc
-        for t in range(l - 2, -1, -1):
-            acc = g[:, t] + ad[:, t + 1] * acc
-            q[:, t] = acc
-        ga = np.empty_like(q)
-        ga[:, 0] = 0.0
-        ga[:, 1:] = q[:, 1:] * h[:, :-1]
-        return ga, q
-
-    return Tensor._node(h, (abar, bu), back)
-
-
 # -- parameters and modules ----------------------------------------------------
 
 class Parameter(Tensor):
@@ -786,15 +728,6 @@ class Module:
                 bufs[name][...] = arr
             else:
                 raise KeyError(f"unknown entry in state dict: {name}")
-
-    def astype(self, dtype):
-        for p in self.parameters():
-            p.data = p.data.astype(dtype)
-            p.grad = None
-        for m in self.modules():
-            for k in list(m._buffers):
-                m._buffers[k] = m._buffers[k].astype(dtype)
-        return self
 
 
 def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=np.float64):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .tensor import Tensor, maximum, minimum, no_grad
 from .model import MddcNet, decode_boxes
-from .data import SynthScene, generate_split, NUM_CLASSES
+from .data import SynthScene, generate_split
 from .eval import decode_predictions, compute_map
 
 __all__ = ["TrainConfig", "LevelTargets", "assign_targets", "stack_targets",
@@ -154,10 +154,11 @@ def _bce_with_logits(x: Tensor, y) -> Tensor:
     return x.softplus() - x * y
 
 
-def detection_loss(preds, targets: list[LevelTargets], strides=(8, 16, 32),
-                   num_classes: int = NUM_CLASSES) -> dict[str, Tensor]:
+def detection_loss(preds, targets: list[LevelTargets],
+                   strides=(8, 16, 32)) -> dict[str, Tensor]:
     """Objectness BCE over all cells + class BCE and IoU loss on assigned
-    cells; total = obj + cls + 2*iou."""
+    cells; total = obj + cls + 2*iou. The class count is the channel count
+    of the class predictions."""
     dtype = preds[0][0].dtype
     obj_sum = None
     total_cells = 0
@@ -177,7 +178,7 @@ def detection_loss(preds, targets: list[LevelTargets], strides=(8, 16, 32),
             continue
         n_assigned += ni.size
 
-        onehot = np.zeros((ni.size, num_classes), dtype=dtype)
+        onehot = np.zeros((ni.size, cls_t.shape[1]), dtype=dtype)
         onehot[np.arange(ni.size), tgt.cls[ni, yi, xi]] = 1.0
         cls_sel = cls_t[ni, :, yi, xi]                     # [K, num_classes]
         term = _bce_with_logits(cls_sel, onehot).sum()

@@ -87,13 +87,11 @@ def check_msddc_zero_offset_matches_dilated(rng) -> str:
 
 def check_msddc_fresh_module_matches_dilated(rng) -> str:
     """A freshly built block (offset conv zero-initialized) must reduce to the
-    fuse of plain dilated convs."""
+    fuse of plain dilated convs: each ``branch{d}`` Conv2d called directly."""
     m = Msddc(MsddcConfig(3, 5), rng)
     x = Tensor(rng.standard_normal((2, 3, 9, 9)))
     got = m(x)
-    outs = [conv2d(x, getattr(m, f"branch{d}").weight,
-                   getattr(m, f"branch{d}").bias, padding=d, dilation=d)
-            for d in m.cfg.dilations]
+    outs = [getattr(m, f"branch{d}")(x) for d in m.cfg.dilations]
     ref = m.fuse(concat(outs, axis=1))
     err = _max_abs(got.data, ref.data)
     _require(err <= TOL_ORACLE, f"fresh module deviates from dilated convs by {err:.3e}")

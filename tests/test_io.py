@@ -6,27 +6,28 @@ import zlib
 import numpy as np
 import pytest
 
-from mddcnet.io import (CheckpointError, load_checkpoint, load_tensor,
-                        read_ppm, save_checkpoint, save_tensor, tensor_bytes,
-                        tensor_from_bytes, write_ppm)
+from mddcnet.io import (CheckpointError, load_checkpoint, read_ppm,
+                        save_checkpoint, tensor_bytes, tensor_from_bytes,
+                        write_ppm)
 
 RNG = np.random.default_rng(10)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_tensor_roundtrip(tmp_path, dtype):
+def test_tensor_roundtrip(dtype):
     arr = RNG.standard_normal((3, 4, 5)).astype(dtype)
-    path = tmp_path / "t.bin"
-    save_tensor(path, arr)
-    back = load_tensor(path)
+    blob = tensor_bytes(arr)
+    back, end = tensor_from_bytes(blob)
     assert back.dtype == arr.dtype and np.array_equal(back, arr)
+    assert end == len(blob)
 
 
-def test_tensor_roundtrip_scalar_and_empty(tmp_path):
+def test_tensor_roundtrip_scalar_and_empty():
     for arr in (np.asarray(3.5), np.zeros((0, 4))):
-        save_tensor(tmp_path / "t.bin", arr)
-        back = load_tensor(tmp_path / "t.bin")
+        blob = tensor_bytes(arr)
+        back, end = tensor_from_bytes(blob)
         assert back.shape == arr.shape and np.array_equal(back, arr)
+        assert end == len(blob)
 
 
 def test_tensor_rejects_unsupported_dtype():

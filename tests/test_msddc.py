@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mddcnet.tensor import Tensor, conv2d
-from mddcnet.msddc import (Msddc, MsddcConfig, OffsetField, bilinear_sample,
-                           deform_dilated_conv, generate_offsets)
+from mddcnet.msddc import (Msddc, MsddcConfig, bilinear_sample,
+                           deform_dilated_conv)
 from mddcnet.gradcheck import grad_check
 from mddcnet.verify import CHECKS
 
@@ -89,21 +89,15 @@ def test_deform_conv_full_gradients():
 
 
 def test_offset_field_validation():
-    with pytest.raises(ValueError):
-        OffsetField(Tensor(np.zeros((1, 17, 4, 4))))
+    x = Tensor(np.zeros((1, 2, 4, 4)))
+    w = Tensor(np.zeros((3, 2, 3, 3)))
+    for shape in ((1, 17, 4, 4), (1, 18, 4, 5), (2, 18, 4, 4)):
+        with pytest.raises(ValueError):
+            deform_dilated_conv(x, Tensor(np.zeros(shape)), w, None, 1)
     with pytest.raises(ValueError):
         MsddcConfig(4, 4, dilations=(2, 1))
     with pytest.raises(ValueError):
         MsddcConfig(4, 4, dilations=())
-
-
-def test_generate_offsets_rejects_wrong_conv():
-    from mddcnet.tensor import Conv2d
-    x = Tensor(np.zeros((1, 4, 6, 6)))
-    with pytest.raises(ValueError):
-        generate_offsets(x, Conv2d(4, 17, 3, padding=1, rng=RNG))
-    with pytest.raises(ValueError):
-        generate_offsets(x, Conv2d(4, 18, 3, padding=0, rng=RNG))
 
 
 def test_module_output_shape_and_param_paths():

@@ -6,8 +6,7 @@ import pytest
 
 from mddcnet.tensor import (Tensor, concat, conv2d, maximum, minimum,
                             adaptive_avg_pool2d,
-                            upsample_nearest, global_avg_pool,
-                            linear_recurrence, scan_seq,
+                            upsample_nearest, scan_seq,
                             batch_norm, bilinear_resize, Conv2d, Linear,
                             BatchNorm2d, no_grad)
 from mddcnet.gradcheck import grad_check
@@ -101,12 +100,10 @@ def test_ndarray_interop_dispatches_to_tensor():
     assert np.all((arr / t).data == 3.0)
 
 
-@pytest.mark.parametrize("unary", ["exp", "log", "sqrt", "sigmoid", "silu",
-                                   "gelu", "softplus", "relu"])
+@pytest.mark.parametrize("unary", ["exp", "expm1", "sigmoid", "silu", "gelu",
+                                   "softplus"])
 def test_unary_gradients(unary):
-    base = RNG.uniform(0.5, 2.0, (3, 3)) if unary in ("log", "sqrt") \
-        else RNG.standard_normal((3, 3))
-    x = Tensor(base, requires_grad=True)
+    x = Tensor(RNG.standard_normal((3, 3)), requires_grad=True)
     coeff = RNG.standard_normal((3, 3))
     rep = grad_check(lambda: (getattr(x, unary)() * coeff).sum(), [("x", x)])
     assert max(rep.values()) < 1e-6
@@ -121,7 +118,7 @@ def test_upsample_then_avgpool_is_identity():
 
 def test_gap_of_constant_map():
     x = Tensor(np.full((2, 3, 4, 5), 2.5))
-    assert np.all(global_avg_pool(x).data == 2.5)
+    assert np.all(x.mean(axis=(2, 3), keepdims=True).data == 2.5)
 
 
 def test_adaptive_pool_full_grid_is_identity():
@@ -169,15 +166,6 @@ def test_scan_par_matches_seq_raw():
                                            bu[:, t0:t0 + chunk], state)
             state = h[:, min(t0 + chunk, 37) - 1]
         assert np.array_equal(h, scan_seq(abar, bu))
-
-
-def test_linear_recurrence_gradients():
-    abar = Tensor(RNG.uniform(0.2, 0.9, (1, 5, 2, 2)), requires_grad=True)
-    bu = Tensor(RNG.standard_normal((1, 5, 2, 2)), requires_grad=True)
-    coeff = RNG.standard_normal((1, 5, 2, 2))
-    rep = grad_check(lambda: (linear_recurrence(abar, bu) * coeff).sum(),
-                     [("abar", abar), ("bu", bu)])
-    assert max(rep.values()) < 1e-6
 
 
 def test_batch_norm_normalizes_and_tracks_stats():

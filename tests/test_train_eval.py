@@ -138,6 +138,16 @@ def test_loss_composition_rule():
     assert abs(float(L["total"].data) - total) < 1e-12
 
 
+def test_loss_reads_class_count_from_predictions():
+    # zero class logits cost ln 2 per class channel on each assigned cell
+    targets = stack_targets([assign_targets(generate_scene(5).annotations, 64)])
+    for classes in (3, 4, 5):
+        preds = [(Tensor(np.zeros((1, classes) + o.shape[2:])), o, b)
+                 for _, o, b in _fake_preds(targets)]
+        cls = float(detection_loss(preds, targets)["cls"].data)
+        assert abs(cls - classes * np.log(2.0)) < 1e-12
+
+
 def test_loss_with_no_objects_is_pure_objectness():
     targets = stack_targets([assign_targets([], 64)])
     L = detection_loss(_fake_preds(targets), targets)
