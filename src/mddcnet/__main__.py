@@ -1,0 +1,6 @@
+"""``python -m mddcnet``: the ``mddcnet`` command line."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -219,9 +219,7 @@ def cmd_infer(args) -> int:
             box = [(d.box[0] - px) / scale, (d.box[1] - py) / scale,
                    (d.box[2] - px) / scale, (d.box[3] - py) / scale]
             f.write(json.dumps({"class_id": d.class_id,
-                                "class_name": CLASS_NAMES[d.class_id]
-                                if d.class_id < len(CLASS_NAMES)
-                                else str(d.class_id),
+                                "class_name": CLASS_NAMES[d.class_id],
                                 "score": round(d.score, 6),
                                 "box": [round(v, 3) for v in box]}) + "\n")
             _draw_box(annotated, box, _BOX_COLORS[d.class_id % len(_BOX_COLORS)])

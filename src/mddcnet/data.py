@@ -12,12 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eval import box_iou
-from .model import NUM_CLASSES
+from .model import CLASS_NAMES, NUM_CLASSES
 
 __all__ = ["SynthScene", "generate_scene", "generate_split",
            "CLASS_NAMES", "NUM_CLASSES"]
-
-CLASS_NAMES = ("box", "disc", "triangle")
 
 
 @dataclass

@@ -120,10 +120,15 @@ def read_ppm(path) -> np.ndarray:
         j = i
         while j < len(buf) and not buf[j:j + 1].isspace():
             j += 1
+        if not buf[i:j].isdigit():
+            raise IOError(f"{path}: header field {len(fields) + 1} of 3 is "
+                          f"{buf[i:j]!r}, not a decimal number")
         fields.append(int(buf[i:j]))
         i = j
     i += 1  # single whitespace after maxval
     w, h, maxval = fields
+    if w == 0 or h == 0:
+        raise IOError(f"{path}: zero image extent {w}x{h}")
     if maxval != 255:
         raise IOError(f"{path}: unsupported maxval {maxval}")
     if len(buf) - i < w * h * 3:

@@ -20,11 +20,12 @@ from .ffn_attn import make_ffn, Csca, FFN_KINDS, NECK_ATTENTION_KINDS
 
 __all__ = ["VariantConfig", "variant_config", "VARIANT_NAMES", "MddcNet",
            "Detection", "PyramidFeatures", "count_params", "estimate_flops",
-           "BUDGET_TARGETS", "NUM_CLASSES"]
+           "BUDGET_TARGETS", "CLASS_NAMES", "NUM_CLASSES"]
 
 VARIANT_NAMES = ("n", "t", "b", "n-toy")
 STAGE_KINDS = ("msddc", "mamba")
-NUM_CLASSES = 3
+CLASS_NAMES = ("box", "disc", "triangle")
+NUM_CLASSES = len(CLASS_NAMES)
 FFN_EXPANSION = 1
 
 # published budget targets at 640x640: (params, flops)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .tensor import Tensor, Module, Conv2d, concat
 
@@ -73,6 +74,14 @@ def bilinear_sample(x: Tensor, py, px, n: int, c: int) -> Tensor:
     return Tensor._node(np.asarray(val), (x, py, px), back)
 
 
+def _corners(a0, a1, b0, b1, op) -> np.ndarray:
+    """op over the bilinear corners 00, 01, 10, 11 as a last axis, flattened."""
+    out = np.empty(a0.shape + (4,), np.result_type(a0, b0))
+    for k, (a, b) in enumerate(((a0, b0), (a0, b1), (a1, b0), (a1, b1))):
+        op(a, b, out=out[..., k])
+    return out.ravel()
+
+
 def deform_dilated_conv(x: Tensor, offsets: Tensor, weight: Tensor,
                         bias: Tensor | None, dilation: int) -> Tensor:
     """3x3 deformable convolution at a given dilation, stride 1, padding = d.
@@ -90,67 +99,44 @@ def deform_dilated_conv(x: Tensor, offsets: Tensor, weight: Tensor,
         raise ValueError(f"deformable weight must be [Co,{c},3,3], got {weight.shape}")
 
     xd, od, wd = x.data, offsets.data, weight.data
-    hw = h * w
-    yy = np.arange(h, dtype=xd.dtype)[None, None, :, None]
-    xx = np.arange(w, dtype=xd.dtype)[None, None, None, :]
-    py = yy + (dilation * _TAP_DY)[None, :, None, None] + od[:, 0::2]
-    px = xx + (dilation * _TAP_DX)[None, :, None, None] + od[:, 1::2]
+    dt, hw, rows = xd.dtype, h * w, n * h * w * 9
+    # sampling matrix M: rows (n, y, x, tap), columns n*H*W + pixel; per row the
+    # bilinear corners 00, 01, 10, 11 at clipped indices, off-image ones weigh 0
+    py = np.arange(h)[:, None, None] + dilation * _TAP_DY + od[:, 0::2].transpose(0, 2, 3, 1)
+    px = np.arange(w)[:, None] + dilation * _TAP_DX + od[:, 1::2].transpose(0, 2, 3, 1)
+    y0, x0 = np.floor(py).astype(np.int32), np.floor(px).astype(np.int32)
+    wy, wx = (py - y0).astype(dt), (px - x0).astype(dt)
+    vy0, vy1 = ((y0 >= 0) & (y0 < h)).astype(dt), ((y0 >= -1) & (y0 < h - 1)).astype(dt)
+    vx0, vx1 = ((x0 >= 0) & (x0 < w)).astype(dt), ((x0 >= -1) & (x0 < w - 1)).astype(dt)
+    fy0, fy1, fx0, fx1 = (1 - wy) * vy0, wy * vy1, (1 - wx) * vx0, wx * vx1
+    base = (np.arange(n, dtype=np.int32) * hw)[:, None, None, None]
+    cols = _corners(base + np.clip(y0, 0, h - 1) * w, base + np.clip(y0 + 1, 0, h - 1) * w,
+                    np.clip(x0, 0, w - 1), np.clip(x0 + 1, 0, w - 1), np.add)
+    m = csr_matrix((_corners(fy0, fy1, fx0, fx1, np.multiply), cols,
+                    np.arange(0, 4 * rows + 1, 4, dtype=np.int32)), shape=(rows, n * hw))
 
-    y0 = np.floor(py).astype(np.int64)
-    x0 = np.floor(px).astype(np.int64)
-    wy = (py - y0).astype(xd.dtype)
-    wx = (px - x0).astype(xd.dtype)
-
-    xflat = xd.reshape(n, c, hw)
-    # gather the 4 bilinear corners for all taps in one indexed read
-    ys = np.stack((y0, y0, y0 + 1, y0 + 1))          # [4, N, 9, H, W]
-    xs = np.stack((x0, x0 + 1, x0, x0 + 1))
-    valid = ((ys >= 0) & (ys < h) & (xs >= 0) & (xs < w))
-    idx = np.clip(ys, 0, h - 1) * w + np.clip(xs, 0, w - 1)
-    flat = idx.transpose(1, 0, 2, 3, 4).reshape(n, 1, 4 * 9 * hw)
-    vals = np.take_along_axis(xflat, np.broadcast_to(flat, (n, c, 4 * 9 * hw)),
-                              axis=2)
-    vals = (vals.reshape(n, c, 4, 9, h, w).transpose(2, 0, 1, 3, 4, 5)
-            * valid[:, :, None].astype(xd.dtype))
-    (v00, m00, i00), (v01, m01, i01), (v10, m10, i10), (v11, m11, i11) = (
-        (vals[k], valid[k], idx[k].reshape(n, 9 * hw)) for k in range(4))
-    w00 = ((1 - wy) * (1 - wx))[:, None]
-    w01 = ((1 - wy) * wx)[:, None]
-    w10 = (wy * (1 - wx))[:, None]
-    w11 = (wy * wx)[:, None]
-    sampled = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11
-    srs = sampled.reshape(n, c * 9, hw)
-
-    w2 = wd.reshape(co, c * 9)
-    out = np.matmul(w2, srs).reshape(n, co, h, w)
+    xcl = xd.transpose(0, 2, 3, 1).reshape(n * hw, c)     # channels-last
+    s = (m @ xcl).reshape(n * hw, 9 * c)                  # column tap*C + c
+    w2 = wd.reshape(co, c, 9).transpose(0, 2, 1).reshape(co, 9 * c)
+    out = (s @ w2.T).reshape(n, h, w, co).transpose(0, 3, 1, 2)
     if bias is not None:
-        out += bias.data.reshape(1, co, 1, 1)
+        out = out + bias.data.reshape(1, co, 1, 1)
     parents = [x, offsets, weight] + ([bias] if bias is not None else [])
 
     def back(g):
-        gflat = g.reshape(n, co, hw)
-        gw = np.einsum("nop,nkp->ok", gflat, srs).reshape(weight.shape)
-        gs = np.matmul(w2.T, gflat).reshape(n, c, 9, h, w)
-
-        base = (np.arange(n)[:, None, None] * (c * hw)
-                + np.arange(c)[None, :, None] * hw)        # [N, C, 1]
-        gxf = np.zeros(n * c * hw)
-        gsr = gs.reshape(n, c, 9 * hw)
-        for mask, idx, wgt in ((m00, i00, w00), (m01, i01, w01),
-                               (m10, i10, w10), (m11, i11, w11)):
-            coeff = (wgt[:, 0] * mask).reshape(n, 1, 9 * hw)
-            flat_idx = (base + idx[:, None, :]).ravel()
-            gxf += np.bincount(flat_idx, weights=(gsr * coeff).ravel(),
-                               minlength=n * c * hw)
-        gxf = gxf.astype(g.dtype)
-
-        gpy = (gs * ((v10 - v00) * (1 - wx)[:, None] + (v11 - v01) * wx[:, None])).sum(axis=1)
-        gpx = (gs * ((v01 - v00) * (1 - wy)[:, None] + (v11 - v10) * wy[:, None])).sum(axis=1)
+        gcl = g.transpose(0, 2, 3, 1).reshape(n * hw, co)
+        gw = (gcl.T @ s).reshape(co, 9, c).transpose(0, 2, 1).reshape(weight.shape)
+        gs = (gcl @ w2).reshape(rows, c)
+        gx = (m.T @ gs).reshape(n, h, w, c).transpose(0, 3, 1, 2)
+        # offsets: M's pattern holding d(corner weight)/dpy, then /dpx
         goff = np.empty_like(od)
-        goff[:, 0::2] = gpy
-        goff[:, 1::2] = gpx
+        for k, dw in ((0, _corners(-vy0, vy1, fx0, fx1, np.multiply)),
+                      (1, _corners(fy0, fy1, -vx0, vx1, np.multiply))):
+            md = csr_matrix((dw, m.indices, m.indptr), shape=m.shape)
+            gp = np.einsum("rc,rc->r", md @ xcl, gs)
+            goff[:, k::2] = gp.reshape(n, h, w, 9).transpose(0, 3, 1, 2)
 
-        grads = [gxf.reshape(n, c, h, w), goff, gw]
+        grads = [gx, goff, gw]
         if bias is not None:
             grads.append(g.sum(axis=(0, 2, 3)))
         return tuple(grads)

@@ -354,10 +354,15 @@ class Tensor:
         d = self.data
         out = d[key]
         shape = d.shape
+        # a basic key (a view) reads each element at most once: assignment suffices
+        basic = not isinstance(out, np.ndarray) or np.may_share_memory(out, d)
 
         def back(g):
             gx = np.zeros(shape, dtype=g.dtype)
-            np.add.at(gx, key, g)
+            if basic:
+                gx[key] = g
+            else:
+                np.add.at(gx, key, g)
             return (gx,)
 
         return Tensor._node(out.copy() if isinstance(out, np.ndarray) else out,
@@ -470,7 +475,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 
     def back(g):
         gg = g.reshape(n, groups, co // groups, oh * ow)
-        gw = np.einsum("ngop,ngkp->gok", gg, cols).reshape(weight.shape)
+        gw = np.matmul(gg, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.shape)
         gcols = np.matmul(w2.transpose(0, 2, 1)[None], gg)
         gcols = gcols.reshape(n, c, kh, kw, oh, ow)
         hp, wp = h + 2 * padding, w + 2 * padding

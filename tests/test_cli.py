@@ -2,6 +2,10 @@
 checkpoint train -> infer round trip."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,16 @@ def test_verify_filtered_subset_passes(capsys):
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
     assert "eval.nms_matches_bruteforce" in out
+
+
+def test_python_m_runs_verify_from_a_checkout():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "mddcnet", "verify", "--filter", "msddc."],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "msddc.zero_offset_matches_dilated" in proc.stdout
 
 
 def test_verify_empty_filter_is_usage_error(capsys):
@@ -150,6 +164,14 @@ def test_train_one_epoch_then_infer_roundtrip(capsys, tmp_path):
 def test_infer_missing_image_is_io_error(capsys, tmp_path):
     code, _, err = run(capsys, "infer", str(tmp_path / "nope.ppm"),
                        "--out", str(tmp_path / "o"))
+    assert code == 3 and "i/o error" in err
+
+
+@pytest.mark.parametrize("header", [b"P6\nabc 4\n255\n", b"P6\n4", b"P6\n0 4\n255\n"])
+def test_infer_malformed_ppm_header_is_io_error(capsys, tmp_path, header):
+    img = tmp_path / "bad.ppm"
+    img.write_bytes(header)
+    code, _, err = run(capsys, "infer", str(img), "--out", str(tmp_path / "o"))
     assert code == 3 and "i/o error" in err
 
 

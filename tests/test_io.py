@@ -119,6 +119,21 @@ def test_ppm_rejects_bad_inputs(tmp_path):
         write_ppm(p, np.zeros((1, 4, 4)))
 
 
+@pytest.mark.parametrize("header", [
+    b"P6\nabc 4\n255\n",      # non-numeric width
+    b"P6\n4 -4\n255\n",       # signed height
+    b"P6\n4",                 # height and maxval missing
+    b"P6\n4 4\n",             # maxval missing
+    b"P6\n0 4\n255\n",        # zero width
+    b"P6\n4 0\n255\n",        # zero height
+])
+def test_ppm_malformed_header_is_io_error(tmp_path, header):
+    p = tmp_path / "bad.ppm"
+    p.write_bytes(header)
+    with pytest.raises(IOError):
+        read_ppm(p)
+
+
 def test_ppm_values_clip(tmp_path):
     img = np.stack([np.full((2, 2), -0.5), np.full((2, 2), 1.5),
                     np.full((2, 2), 0.5)])

@@ -75,17 +75,29 @@ def test_bilinear_sample_gradients_shape_one_coordinates():
 
 
 def test_deform_conv_full_gradients():
-    x = Tensor(RNG.standard_normal((1, 2, 4, 4)), requires_grad=True)
-    off = Tensor(0.3 * RNG.standard_normal((1, 18, 4, 4)), requires_grad=True)
-    w = Tensor(RNG.standard_normal((2, 2, 3, 3)), requires_grad=True)
-    b = Tensor(RNG.standard_normal(2), requires_grad=True)
-    coeff = RNG.standard_normal((1, 2, 4, 4))
+    # two samples, and offsets in [-2, 2] so that corners fall off the image;
+    # offsets within 0.01 of an integer sit too near a kink of the bilinear
+    # weights for central differences, so they are moved off it
+    for d in (1, 2, 4):
+        x = Tensor(RNG.standard_normal((2, 2, 4, 4)), requires_grad=True)
+        o = RNG.uniform(-2.0, 2.0, (2, 18, 4, 4))
+        o[np.abs(o - np.round(o)) < 0.01] += 0.05
+        off = Tensor(o, requires_grad=True)
+        w = Tensor(RNG.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(RNG.standard_normal(3), requires_grad=True)
+        coeff = RNG.standard_normal((2, 3, 4, 4))
 
-    def fn():
-        return (deform_dilated_conv(x, off, w, b, 2) * coeff).sum()
+        def fn():
+            return (deform_dilated_conv(x, off, w, b, d) * coeff).sum()
 
-    rep = grad_check(fn, [("x", x), ("off", off), ("w", w), ("b", b)])
-    assert max(rep.values()) < 1e-5
+        rep = grad_check(fn, [("x", x), ("off", off), ("w", w), ("b", b)])
+        assert max(rep.values()) < 1e-5, (d, rep)
+
+    f32 = [Tensor(t.data.astype(np.float32), requires_grad=True) for t in (x, off, w, b)]
+    out = deform_dilated_conv(*f32, 2)
+    (out * coeff.astype(np.float32)).sum().backward()
+    assert out.dtype == np.float32
+    assert [t.grad.dtype for t in f32] == [np.float32] * 4
 
 
 def test_offset_field_validation():

@@ -40,10 +40,12 @@ def naive_conv2d(x, w, b, stride, padding, dilation, groups):
     return out
 
 
-@pytest.mark.parametrize("stride,padding,dilation,groups", [
-    (1, 0, 1, 1), (1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 2, 1), (1, 1, 1, 2),
-    (2, 2, 2, 1),
-])
+# (stride, padding, dilation, groups) for 4 input and 4 output channels
+CONV_GRID = [(1, 0, 1, 1), (1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 2, 1), (1, 1, 1, 2),
+             (2, 2, 2, 1)]
+
+
+@pytest.mark.parametrize("stride,padding,dilation,groups", CONV_GRID)
 def test_conv2d_matches_naive(stride, padding, dilation, groups):
     x = RNG.standard_normal((2, 4, 7, 6))
     w = RNG.standard_normal((4, 4 // groups, 3, 3))
@@ -55,16 +57,21 @@ def test_conv2d_matches_naive(stride, padding, dilation, groups):
 
 
 def test_conv2d_gradients():
-    x = Tensor(RNG.standard_normal((1, 2, 5, 5)), requires_grad=True)
-    w = Tensor(RNG.standard_normal((3, 2, 3, 3)), requires_grad=True)
-    b = Tensor(RNG.standard_normal(3), requires_grad=True)
-    coeff = RNG.standard_normal((1, 3, 5, 5))
+    # the naive-forward grid plus a depthwise conv (groups == channels)
+    for stride, padding, dilation, groups in CONV_GRID + [(1, 1, 1, 4)]:
+        x = Tensor(RNG.standard_normal((2, 4, 7, 6)), requires_grad=True)
+        w = Tensor(RNG.standard_normal((4, 4 // groups, 3, 3)), requires_grad=True)
+        b = Tensor(RNG.standard_normal(4), requires_grad=True)
+        out_shape = conv2d(x, w, b, stride=stride, padding=padding,
+                           dilation=dilation, groups=groups).shape
+        coeff = RNG.standard_normal(out_shape)
 
-    def fn():
-        return (conv2d(x, w, b, padding=1) * coeff).sum()
+        def fn():
+            return (conv2d(x, w, b, stride=stride, padding=padding,
+                           dilation=dilation, groups=groups) * coeff).sum()
 
-    rep = grad_check(fn, [("x", x), ("w", w), ("b", b)])
-    assert max(rep.values()) < 1e-6
+        rep = grad_check(fn, [("x", x), ("w", w), ("b", b)])
+        assert max(rep.values()) < 1e-6, (stride, padding, dilation, groups, rep)
 
 
 @pytest.mark.parametrize("op", ["add", "mul", "sub", "div", "matmul"])
@@ -151,6 +158,23 @@ def test_getitem_and_concat_gradients():
 
     rep = grad_check(fn, [("x", x)])
     assert max(rep.values()) < 1e-6
+
+
+def test_getitem_basic_key_gradient_equals_add_at():
+    x = Tensor(RNG.standard_normal((3, 4, 5)), requires_grad=True)
+    for key in (1, slice(None, None, 2), (Ellipsis, 2), (slice(1, 3), None, 0),
+                (np.int64(2), slice(None), slice(4, 0, -2)), (0, 1, 2)):
+        g = RNG.standard_normal(x.data[key].shape)
+        (got,) = x[key]._backward(g)
+        ref = np.zeros(x.shape)
+        np.add.at(ref, key, g)
+        assert np.array_equal(got, ref), key
+
+
+def test_getitem_repeated_index_accumulates():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    x[[0, 0, 1]].sum().backward()
+    assert np.array_equal(x.grad, [2.0, 1.0, 0.0])
 
 
 def test_scan_par_matches_seq_raw():
