@@ -88,13 +88,19 @@ def _out_dir(args) -> Path:
 def cmd_verify(args) -> int:
     results = run_checks(args.filter, args.seed)
     if not results:
-        print(f"no checks match filter {args.filter!r}")
+        print(f"no checks match filter {args.filter!r}",
+              file=sys.stderr if args.json else sys.stdout)
         return 2
+    failed = [r for r in results if not r.passed]
+    if args.json:
+        for r in results:
+            print(json.dumps({"name": r.name, "passed": r.passed,
+                              "seconds": round(r.seconds, 6), "detail": r.detail}))
+        return 1 if failed else 0
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status}  {r.name:<{width}}  {r.seconds:6.2f}s  {r.detail}")
-    failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     if failed:
         print("failing:", ", ".join(r.name for r in failed))
@@ -201,8 +207,12 @@ def cmd_infer(args) -> int:
     dtype = _PRECISIONS[args.precision]
     model = MddcNet(cfg, np.random.default_rng(args.seed), dtype=dtype)
     if args.checkpoint:
-        model.load_state_dict({k: np.asarray(v)
-                               for k, v in mio.load_checkpoint(args.checkpoint).items()})
+        state = mio.load_checkpoint(args.checkpoint)
+        try:
+            model.load_state_dict({k: np.asarray(v) for k, v in state.items()})
+        except (KeyError, ValueError) as exc:
+            raise mio.CheckpointError(f"{args.checkpoint} does not match the model "
+                                      f"the flags build: {exc.args[0]}") from exc
     model.eval()
     img = mio.read_ppm(args.image)
     size = args.input_size
@@ -319,6 +329,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                        help="run the named property-check suite")
     p.add_argument("--filter", default=None,
                    help="only run checks whose name contains this substring")
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON object per check: name, passed, seconds, detail")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("report", parents=[common],

@@ -99,44 +99,54 @@ def deform_dilated_conv(x: Tensor, offsets: Tensor, weight: Tensor,
         raise ValueError(f"deformable weight must be [Co,{c},3,3], got {weight.shape}")
 
     xd, od, wd = x.data, offsets.data, weight.data
-    dt, hw, rows = xd.dtype, h * w, n * h * w * 9
-    # sampling matrix M: rows (n, y, x, tap), columns n*H*W + pixel; per row the
-    # bilinear corners 00, 01, 10, 11 at clipped indices, off-image ones weigh 0
+    dt, hw = xd.dtype, h * w
+    # project first: Y = X·W9ᵀ has rows (n, pixel, tap) holding W_tap·x, so the
+    # sampling moves Co values per corner instead of C
+    xf = xd.reshape(n, c, hw)
+    w9 = wd.reshape(co, c, 9).transpose(2, 0, 1).reshape(9 * co, c)  # row tap*Co + o
+    y = np.matmul(xf.transpose(0, 2, 1), w9.T).reshape(n * hw * 9, co)
+
+    # sampling matrix P: one row per output pixel (n, y, x), 36 nonzeros in
+    # (tap, corner) order; column (n*H*W + source pixel)*9 + tap. Corners
+    # 00, 01, 10, 11 inside the image have exact columns; off-image ones weigh
+    # 0, so their columns only need to be in range and are clipped
     py = np.arange(h)[:, None, None] + dilation * _TAP_DY + od[:, 0::2].transpose(0, 2, 3, 1)
     px = np.arange(w)[:, None] + dilation * _TAP_DX + od[:, 1::2].transpose(0, 2, 3, 1)
-    y0, x0 = np.floor(py).astype(np.int32), np.floor(px).astype(np.int32)
-    wy, wx = (py - y0).astype(dt), (px - x0).astype(dt)
-    vy0, vy1 = ((y0 >= 0) & (y0 < h)).astype(dt), ((y0 >= -1) & (y0 < h - 1)).astype(dt)
-    vx0, vx1 = ((x0 >= 0) & (x0 < w)).astype(dt), ((x0 >= -1) & (x0 < w - 1)).astype(dt)
+    fy, fx = np.floor(py), np.floor(px)
+    wy, wx = (py - fy).astype(dt, copy=False), (px - fx).astype(dt, copy=False)
+    y0, x0 = fy.astype(np.int32), fx.astype(np.int32)
+    # in-image masks: 0 <= i < h exactly when i read as unsigned is below h
+    vy0, vy1 = y0.view(np.uint32) < h, (y0 + 1).view(np.uint32) < h
+    vx0, vx1 = x0.view(np.uint32) < w, (x0 + 1).view(np.uint32) < w
     fy0, fy1, fx0, fx1 = (1 - wy) * vy0, wy * vy1, (1 - wx) * vx0, wx * vx1
-    base = (np.arange(n, dtype=np.int32) * hw)[:, None, None, None]
-    cols = _corners(base + np.clip(y0, 0, h - 1) * w, base + np.clip(y0 + 1, 0, h - 1) * w,
-                    np.clip(x0, 0, w - 1), np.clip(x0 + 1, 0, w - 1), np.add)
-    m = csr_matrix((_corners(fy0, fy1, fx0, fx1, np.multiply), cols,
-                    np.arange(0, 4 * rows + 1, 4, dtype=np.int32)), shape=(rows, n * hw))
+    col00 = 9 * ((np.arange(n, dtype=np.int32) * hw)[:, None, None, None] + y0 * w + x0)
+    col00 += np.arange(9, dtype=np.int32)
+    cols = np.clip(_corners(col00, col00 + 9 * w, 0, 9, np.add), 0, 9 * n * hw - 1)
+    p = csr_matrix((_corners(fy0, fy1, fx0, fx1, np.multiply), cols,
+                    np.arange(0, cols.size + 1, 36, dtype=np.int32)), shape=(n * hw, y.shape[0]))
 
-    xcl = xd.transpose(0, 2, 3, 1).reshape(n * hw, c)     # channels-last
-    s = (m @ xcl).reshape(n * hw, 9 * c)                  # column tap*C + c
-    w2 = wd.reshape(co, c, 9).transpose(0, 2, 1).reshape(co, 9 * c)
-    out = (s @ w2.T).reshape(n, h, w, co).transpose(0, 3, 1, 2)
+    out = (p @ y).reshape(n, h, w, co).transpose(0, 3, 1, 2)
     if bias is not None:
         out = out + bias.data.reshape(1, co, 1, 1)
     parents = [x, offsets, weight] + ([bias] if bias is not None else [])
 
     def back(g):
         gcl = g.transpose(0, 2, 3, 1).reshape(n * hw, co)
-        gw = (gcl.T @ s).reshape(co, 9, c).transpose(0, 2, 1).reshape(weight.shape)
-        gs = (gcl @ w2).reshape(rows, c)
-        gx = (m.T @ gs).reshape(n, h, w, c).transpose(0, 3, 1, 2)
-        # offsets: M's pattern holding d(corner weight)/dpy, then /dpx
+        gy = (p.T @ gcl).reshape(n, hw, 9 * co)
+        gx = np.matmul(w9.T, gy.transpose(0, 2, 1)).reshape(x.shape)
+        gw = np.matmul(xf, gy).sum(axis=0).reshape(c, 9, co).transpose(2, 0, 1)
+        # offsets: per nonzero of P, a = gcl[pixel]·Y[column]; the derivatives
+        # of the corner weights combine a into d/dpy and d/dpx per (pixel, tap)
+        a = np.matmul(np.take(y, p.indices, axis=0).reshape(n * hw, 36, co),
+                      gcl[:, :, None]).reshape(n, h, w, 9, 4)
+        a00, a01, a10, a11 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
         goff = np.empty_like(od)
-        for k, dw in ((0, _corners(-vy0, vy1, fx0, fx1, np.multiply)),
-                      (1, _corners(fy0, fy1, -vx0, vx1, np.multiply))):
-            md = csr_matrix((dw, m.indices, m.indptr), shape=m.shape)
-            gp = np.einsum("rc,rc->r", md @ xcl, gs)
-            goff[:, k::2] = gp.reshape(n, h, w, 9).transpose(0, 3, 1, 2)
+        goff[:, 0::2] = (vy1 * (fx0 * a10 + fx1 * a11)
+                         - vy0 * (fx0 * a00 + fx1 * a01)).transpose(0, 3, 1, 2)
+        goff[:, 1::2] = (vx1 * (fy0 * a01 + fy1 * a11)
+                         - vx0 * (fy0 * a00 + fy1 * a10)).transpose(0, 3, 1, 2)
 
-        grads = [gx, goff, gw]
+        grads = [gx, goff, gw.reshape(weight.shape)]
         if bias is not None:
             grads.append(g.sum(axis=(0, 2, 3)))
         return tuple(grads)

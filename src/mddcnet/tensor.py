@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import erf as _erf
+from scipy.special import erf as _erf, expit as _expit
 
 __all__ = [
     "Tensor",
@@ -237,17 +237,12 @@ class Tensor:
         return Tensor._node(out, (self,), lambda g: (g * (out + 1.0),))
 
     def sigmoid(self):
-        d = self.data
-        out = np.empty_like(d)
-        pos = d >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-        e = np.exp(d[~pos])
-        out[~pos] = e / (1.0 + e)
+        out = _expit(self.data)
         return Tensor._node(out, (self,), lambda g: (g * out * (1.0 - out),))
 
     def silu(self):
-        s = self.sigmoid().data
         d = self.data
+        s = _expit(d)
         return Tensor._node(d * s, (self,), lambda g: (g * s * (1.0 + d * (1.0 - s)),))
 
     def gelu(self):
@@ -266,15 +261,7 @@ class Tensor:
         d = self.data
         out = np.logaddexp(0.0, d)
 
-        def back(g):
-            s = np.empty_like(d)
-            pos = d >= 0
-            s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-            e = np.exp(d[~pos])
-            s[~pos] = e / (1.0 + e)
-            return (g * s,)
-
-        return Tensor._node(out, (self,), back)
+        return Tensor._node(out, (self,), lambda g: (g * _expit(d),))
 
     def clamp(self, lo=None, hi=None):
         d = self.data
@@ -721,18 +708,25 @@ class Module:
         return d
 
     def load_state_dict(self, d: dict[str, np.ndarray]):
+        """Copy ``d`` into the parameters and buffers. Every entry must name
+        one of them with its shape, and every one of them must be in ``d``;
+        otherwise nothing is loaded (KeyError, ValueError)."""
         own = dict(self.named_parameters())
         bufs = dict(self.named_buffers())
         for name, arr in d.items():
-            if name in own:
-                if own[name].shape != arr.shape:
-                    raise ValueError(f"shape mismatch for {name}: "
-                                     f"{own[name].shape} vs {arr.shape}")
-                own[name].data = np.asarray(arr, dtype=own[name].dtype)
-            elif name in bufs:
-                bufs[name][...] = arr
-            else:
+            if name not in own and name not in bufs:
                 raise KeyError(f"unknown entry in state dict: {name}")
+            shape = own[name].shape if name in own else bufs[name].shape
+            if shape != np.shape(arr):
+                raise ValueError(f"shape mismatch for {name}: {shape} vs {np.shape(arr)}")
+        missing = [name for name in (*own, *bufs) if name not in d]
+        if missing:
+            raise KeyError(f"missing entry in state dict: {missing[0]}")
+        for name, arr in d.items():
+            if name in own:
+                own[name].data = np.asarray(arr, dtype=own[name].dtype)
+            else:
+                bufs[name][...] = arr
 
 
 def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=np.float64):

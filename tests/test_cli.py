@@ -12,7 +12,7 @@ import pytest
 
 from mddcnet import verify
 from mddcnet.cli import main
-from mddcnet.io import read_ppm, write_ppm, load_checkpoint
+from mddcnet.io import read_ppm, write_ppm, load_checkpoint, save_checkpoint
 from mddcnet.data import generate_scene
 
 
@@ -35,14 +35,41 @@ def test_verify_filtered_subset_passes(capsys):
     assert "eval.nms_matches_bruteforce" in out
 
 
-def test_python_m_runs_verify_from_a_checkout():
+def run_module(*argv):
+    """``python -m mddcnet`` in a subprocess, importing from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "mddcnet", "verify", "--filter", "msddc."],
+    return subprocess.run([sys.executable, "-m", "mddcnet", *argv],
                           env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_python_m_runs_verify_from_a_checkout():
+    proc = run_module("verify", "--filter", "msddc.")
     assert proc.returncode == 0, proc.stderr
     assert "msddc.zero_offset_matches_dilated" in proc.stdout
+
+
+def test_verify_json_prints_one_object_per_check():
+    proc = run_module("verify", "--json", "--filter", "msddc.")
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(records) == 6
+    for r in records:
+        assert set(r) == {"name", "passed", "seconds", "detail"}
+        assert r["name"].startswith("msddc.") and r["passed"] is True
+        assert isinstance(r["seconds"], float) and isinstance(r["detail"], str)
+
+
+def test_verify_json_failure_exits_1(capsys, monkeypatch):
+    def fail(rng):
+        raise verify.VerifyFailure("injected")
+    monkeypatch.setitem(verify.CHECKS, "eval.injected_failure", fail)
+    code, out, _ = run(capsys, "verify", "--json", "--filter", "eval.injected")
+    rec = json.loads(out)
+    assert code == 1
+    assert (rec["name"], rec["passed"], rec["detail"]) == ("eval.injected_failure", False,
+                                                           "injected")
 
 
 def test_verify_empty_filter_is_usage_error(capsys):
@@ -183,6 +210,33 @@ def test_infer_corrupt_checkpoint_is_io_error(capsys, tmp_path):
     code, _, err = run(capsys, "infer", str(img), "--checkpoint", str(bad),
                        "--out", str(tmp_path / "o"))
     assert code == 3 and "i/o error" in err
+
+
+@pytest.fixture(scope="module")
+def toy_checkpoint(tmp_path_factory):
+    """The initialized n-toy state dict and a PPM to run inference on."""
+    root = tmp_path_factory.mktemp("toy")
+    assert main(["train", "--epochs", "0", "--seed", "0", "--out", str(root)]) == 0
+    write_ppm(root / "img.ppm", generate_scene(1).image)
+    return root, load_checkpoint(root / "checkpoint.bin")
+
+
+@pytest.mark.parametrize("case, flags, key", [
+    ("other variant", ["--variant", "n"], "stem.pos_embed"),
+    ("other ffn", ["--ffn", "vanilla"], "stage1.0.ffn."),
+    ("missing key", [], "stem.pos_embed"),
+])
+def test_infer_checkpoint_model_mismatch_is_io_error(capsys, tmp_path, toy_checkpoint,
+                                                     case, flags, key):
+    root, state = toy_checkpoint
+    ckpt = root / "checkpoint.bin"
+    if case == "missing key":
+        ckpt = tmp_path / "partial.bin"
+        save_checkpoint(ckpt, {k: v for k, v in state.items() if k != key})
+    code, _, err = run(capsys, "infer", str(root / "img.ppm"), "--checkpoint", str(ckpt),
+                       *flags, "--out", str(tmp_path / "o"))
+    assert code == 3 and "i/o error" in err and key in err
+    assert "Traceback" not in err
 
 
 def test_infer_letterboxes_non_square_images(capsys, tmp_path):

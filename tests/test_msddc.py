@@ -74,27 +74,31 @@ def test_bilinear_sample_gradients_shape_one_coordinates():
     assert py.grad.shape == (1,) and px.grad.shape == (1,)
 
 
-def test_deform_conv_full_gradients():
+@pytest.mark.parametrize("d", [1, 2, 4], ids=lambda d: f"d{d}")
+@pytest.mark.parametrize("c, co, h, w", [(2, 3, 4, 4), (5, 2, 4, 5)],
+                         ids=["C2-Co3-4x4", "C5-Co2-4x5"])
+def test_deform_conv_full_gradients(c, co, h, w, d):
     # two samples, and offsets in [-2, 2] so that corners fall off the image;
     # offsets within 0.01 of an integer sit too near a kink of the bilinear
-    # weights for central differences, so they are moved off it
-    for d in (1, 2, 4):
-        x = Tensor(RNG.standard_normal((2, 2, 4, 4)), requires_grad=True)
-        o = RNG.uniform(-2.0, 2.0, (2, 18, 4, 4))
-        o[np.abs(o - np.round(o)) < 0.01] += 0.05
-        off = Tensor(o, requires_grad=True)
-        w = Tensor(RNG.standard_normal((3, 2, 3, 3)), requires_grad=True)
-        b = Tensor(RNG.standard_normal(3), requires_grad=True)
-        coeff = RNG.standard_normal((2, 3, 4, 4))
+    # weights for central differences, so they are moved off it. Co > C and
+    # Co < C (the model's branches), square and non-square maps
+    rng = np.random.default_rng([c, co, h, w, d])
+    x = Tensor(rng.standard_normal((2, c, h, w)), requires_grad=True)
+    o = rng.uniform(-2.0, 2.0, (2, 18, h, w))
+    o[np.abs(o - np.round(o)) < 0.01] += 0.05
+    off = Tensor(o, requires_grad=True)
+    wt = Tensor(rng.standard_normal((co, c, 3, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(co), requires_grad=True)
+    coeff = rng.standard_normal((2, co, h, w))
 
-        def fn():
-            return (deform_dilated_conv(x, off, w, b, d) * coeff).sum()
+    def fn():
+        return (deform_dilated_conv(x, off, wt, b, d) * coeff).sum()
 
-        rep = grad_check(fn, [("x", x), ("off", off), ("w", w), ("b", b)])
-        assert max(rep.values()) < 1e-5, (d, rep)
+    rep = grad_check(fn, [("x", x), ("off", off), ("w", wt), ("b", b)])
+    assert max(rep.values()) < 1e-5, rep
 
-    f32 = [Tensor(t.data.astype(np.float32), requires_grad=True) for t in (x, off, w, b)]
-    out = deform_dilated_conv(*f32, 2)
+    f32 = [Tensor(t.data.astype(np.float32), requires_grad=True) for t in (x, off, wt, b)]
+    out = deform_dilated_conv(*f32, d)
     (out * coeff.astype(np.float32)).sum().backward()
     assert out.dtype == np.float32
     assert [t.grad.dtype for t in f32] == [np.float32] * 4

@@ -1,6 +1,8 @@
 """Autodiff core: forward semantics against naive references, gradients
 against central differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,28 @@ def test_unary_gradients(unary):
     coeff = RNG.standard_normal((3, 3))
     rep = grad_check(lambda: (getattr(x, unary)() * coeff).sum(), [("x", x)])
     assert max(rep.values()) < 1e-6
+
+
+def test_logistic_is_finite_and_matches_masked_form_at_extremes():
+    d = np.array([-800.0, -30.0, -0.0, 0.0, 30.0, 800.0])
+    masked = np.empty_like(d)                 # the split-by-sign stable form
+    pos = d >= 0
+    masked[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    e = np.exp(d[~pos])
+    masked[~pos] = e / (1.0 + e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x = Tensor(d, requires_grad=True)
+        sig = x.sigmoid()
+        sig.sum().backward()
+        sp = Tensor(d, requires_grad=True)
+        sp.softplus().sum().backward()
+        silu = Tensor(d).silu()
+    for got in (sig.data, x.grad, sp.grad, silu.data):
+        assert np.all(np.isfinite(got))
+    assert np.max(np.abs(sig.data - masked)) <= 1e-15
+    assert np.max(np.abs(sp.grad - masked)) <= 1e-15
+    assert Tensor(d.astype(np.float32)).sigmoid().dtype == np.float32
 
 
 def test_upsample_then_avgpool_is_identity():
@@ -235,3 +259,19 @@ def test_module_registry_roundtrip():
     conv2 = Conv2d(2, 2, 3, rng=np.random.default_rng(99))
     conv2.load_state_dict(state)
     assert np.array_equal(conv2.weight.data, conv.weight.data)
+
+
+def test_load_state_dict_rejects_missing_unknown_and_misshapen_entries():
+    bn = BatchNorm2d(2)
+    state = {k: v.copy() for k, v in bn.state_dict().items()}
+    before = {k: v.copy() for k, v in state.items()}
+    missing = {k: v for k, v in state.items() if k != "running_var"}
+    with pytest.raises(KeyError, match="missing entry in state dict: running_var"):
+        bn.load_state_dict(missing)
+    with pytest.raises(KeyError, match="unknown entry in state dict: extra"):
+        bn.load_state_dict({**state, "extra": np.zeros(1)})
+    with pytest.raises(ValueError, match="shape mismatch for running_mean"):
+        bn.load_state_dict({**state, "gamma": state["gamma"] + 1.0,
+                            "running_mean": np.zeros(1)})
+    for k, v in bn.state_dict().items():          # a rejected dict loads nothing
+        assert np.array_equal(v, before[k])
