@@ -135,7 +135,7 @@ class Mlca(Module):
         if h < 1 or w < 1:
             raise ValueError("mlca needs a non-empty spatial extent")
         w_g = self._channel_mix(x.mean(axis=(2, 3), keepdims=True))
-        pooled = adaptive_avg_pool2d(x, (min(self.grid, h), min(self.grid, w)))
+        pooled = adaptive_avg_pool2d(x, (self.grid, self.grid))
         w_l = upsample_nearest_to(self._channel_mix(pooled), h, w)
         return x * (w_g * self.beta + w_l * (1.0 - self.beta))
 
@@ -155,7 +155,7 @@ class ScaleCalibration(Module):
         _, _, h, w = x.shape
         acc = None
         for s in self.pool_sizes:
-            pooled = adaptive_avg_pool2d(x, (min(s, h), min(s, w)))
+            pooled = adaptive_avg_pool2d(x, (s, s))
             term = upsample_nearest_to(getattr(self, f"conv{s}")(pooled), h, w)
             acc = term if acc is None else acc + term
         return acc.sigmoid()

@@ -10,6 +10,7 @@ records, then a trailing CRC32 of all preceding bytes.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -44,22 +45,31 @@ def tensor_bytes(arr: np.ndarray) -> bytes:
 
 
 def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Parse one tensor record; returns (array, next offset)."""
+    """Parse one tensor record; returns (array, next offset). A record that
+    is cut short or malformed raises CheckpointError."""
     if buf[offset:offset + 8] != MAGIC:
         raise CheckpointError("bad tensor magic")
     offset += 8
-    (rank,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    shape = struct.unpack_from(f"<{rank}I", buf, offset)
-    offset += 4 * rank
-    (tag,) = struct.unpack_from("<B", buf, offset)
+    try:
+        (rank,) = struct.unpack_from("<I", buf, offset)
+        offset += 4
+        shape = struct.unpack_from(f"<{rank}I", buf, offset)
+        offset += 4 * rank
+        (tag,) = struct.unpack_from("<B", buf, offset)
+    except struct.error as exc:
+        raise CheckpointError(f"tensor header cut short: {exc}") from exc
     offset += 1
     dtype = _TAG_DTYPES.get(tag)
     if dtype is None:
         raise CheckpointError(f"unknown dtype tag {tag}")
-    count = int(np.prod(shape)) if rank else 1
+    count = math.prod(shape)
     nbytes = count * dtype.itemsize
-    arr = np.frombuffer(buf, dtype=dtype, count=count, offset=offset).reshape(shape)
+    if offset + nbytes > len(buf):
+        raise CheckpointError(f"tensor of shape {shape} runs past the end of its buffer")
+    try:
+        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=offset).reshape(shape)
+    except ValueError as exc:
+        raise CheckpointError(f"tensor of shape {shape}: {exc}") from exc
     return arr.astype(dtype.newbyteorder("=")), offset + nbytes
 
 
@@ -86,18 +96,23 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     (count,) = struct.unpack_from("<I", body, 0)
     offset = 4
     state: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", body, offset)
-        offset += 4
-        name = body[offset:offset + nlen].decode("utf-8")
-        offset += nlen
-        (blen,) = struct.unpack_from("<I", body, offset)
-        offset += 4
-        arr, end = tensor_from_bytes(body, offset)
-        if end != offset + blen:
-            raise CheckpointError(f"checkpoint {path}: record size mismatch at {name}")
-        state[name] = arr
-        offset += blen
+    try:
+        for index in range(count):
+            where = f"record {index}"
+            (nlen,) = struct.unpack_from("<I", body, offset)
+            offset += 4
+            name = body[offset:offset + nlen].decode("utf-8")
+            where = f"record {index} ({name})"
+            offset += nlen
+            (blen,) = struct.unpack_from("<I", body, offset)
+            offset += 4
+            arr, end = tensor_from_bytes(body, offset)
+            if end != offset + blen:
+                raise CheckpointError("record size mismatch")
+            state[name] = arr
+            offset += blen
+    except (struct.error, UnicodeDecodeError, CheckpointError) as exc:
+        raise CheckpointError(f"checkpoint {path}: malformed {where}: {exc}") from exc
     return state
 
 

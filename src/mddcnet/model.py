@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .tensor import (Tensor, Module, Parameter, Conv2d, BatchNorm2d, concat,
-                     bilinear_resize, upsample_nearest)
+                     bilinear_resize, upsample_nearest_to)
 from .msddc import Msddc, MsddcConfig
 from .ssm import MambaBlockConfig, MambaBlock2d
 from .ffn_attn import make_ffn, Csca, FFN_KINDS, NECK_ATTENTION_KINDS
@@ -200,8 +200,8 @@ class A2Fpn(Module):
 
     def __call__(self, c3: Tensor, c4: Tensor, c5: Tensor) -> PyramidFeatures:
         p5 = self._level(5, self.lateral5(c5))
-        p4 = self._level(4, self.lateral4(c4) + upsample_nearest(p5, 2))
-        p3 = self._level(3, self.lateral3(c3) + upsample_nearest(p4, 2))
+        p4 = self._level(4, self.lateral4(c4) + upsample_nearest_to(p5, *c4.shape[2:]))
+        p3 = self._level(3, self.lateral3(c3) + upsample_nearest_to(p4, *c3.shape[2:]))
         return PyramidFeatures(p3, p4, p5)
 
 

@@ -27,7 +27,7 @@ __all__ = [
     "minimum",
     "flatten_hw",
     "unflatten_hw",
-    "upsample_nearest",
+    "resample",
     "upsample_nearest_to",
     "adaptive_avg_pool2d",
     "bilinear_resize",
@@ -523,92 +523,66 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     return Tensor._node(out, (x, gamma, beta), back)
 
 
-# -- pooling / resampling ------------------------------------------------------
+# -- resampling ----------------------------------------------------------------
+# Pooling to a grid, nearest upsampling and bilinear resizing are separable
+# linear maps over the two spatial axes. Each builds one dense [out, in]
+# matrix per axis and goes through the single tape op ``resample``.
+
+def resample(x: Tensor, ry: np.ndarray, rx: np.ndarray) -> Tensor:
+    """out = Ry · x · Rxᵀ over the spatial axes of an [N,C,H,W] tensor, for
+    Ry [OH,H] and Rx [OW,W]; the input gradient is Ryᵀ · g · Rx."""
+    ry, rx = ry.astype(x.dtype, copy=False), rx.astype(x.dtype, copy=False)
+    return Tensor._node(ry @ x.data @ rx.T, (x,), lambda g: (ry.T @ g @ rx,))
+
+
+def _nearest_matrix(out: int, n: int) -> np.ndarray:
+    """Row i picks source index i*n//out."""
+    r = np.zeros((out, n))
+    r[np.arange(out), np.arange(out) * n // out] = 1.0
+    return r
+
+
+def _cell_mean_matrix(out: int, n: int) -> np.ndarray:
+    """Row i averages the torch-style cell [i*n//out, ceil((i+1)*n/out));
+    neighbouring cells overlap when out does not divide n."""
+    i = np.arange(out)
+    lo, hi = i * n // out, -(-(i + 1) * n // out)
+    cols = np.arange(n)
+    return ((cols >= lo[:, None]) & (cols < hi[:, None])) / (hi - lo)[:, None]
+
+
+def _bilinear_matrix(out: int, n: int) -> np.ndarray:
+    """Linear interpolation at half-pixel centres clipped to [0, n-1]."""
+    s = np.clip((np.arange(out) + 0.5) * n / out - 0.5, 0, n - 1)
+    i0 = np.floor(s).astype(np.int64)
+    w = s - i0
+    rows = np.arange(out)
+    r = np.zeros((out, n))
+    r[rows, i0] = 1.0 - w
+    r[rows, np.minimum(i0 + 1, n - 1)] += w    # at the border both weights land on i0
+    return r
+
 
 def adaptive_avg_pool2d(x: Tensor, grid: tuple[int, int]) -> Tensor:
-    """Average-pool to a ``gh x gw`` grid with torch-style cell boundaries."""
-    n, c, h, w = x.shape
-    gh, gw = grid
-    gh, gw = min(gh, h), min(gw, w)
+    """Average-pool to a ``gh x gw`` grid (clamped to the input) with
+    torch-style cell boundaries."""
+    _, _, h, w = x.shape
+    gh, gw = min(grid[0], h), min(grid[1], w)
     if gh < 1 or gw < 1:
         raise ValueError("adaptive_avg_pool2d: empty input")
-    hb = [(i * h // gh, -(-(i + 1) * h // gh)) for i in range(gh)]
-    wb = [(j * w // gw, -(-(j + 1) * w // gw)) for j in range(gw)]
-    xd = x.data
-    out = np.empty((n, c, gh, gw), dtype=xd.dtype)
-    for i, (h0, h1) in enumerate(hb):
-        for j, (w0, w1) in enumerate(wb):
-            out[:, :, i, j] = xd[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
-
-    def back(g):
-        gx = np.zeros_like(xd)
-        for i, (h0, h1) in enumerate(hb):
-            for j, (w0, w1) in enumerate(wb):
-                gx[:, :, h0:h1, w0:w1] += (g[:, :, i, j] /
-                                           ((h1 - h0) * (w1 - w0)))[:, :, None, None]
-        return (gx,)
-
-    return Tensor._node(out, (x,), back)
-
-
-def upsample_nearest(x: Tensor, factor: int) -> Tensor:
-    if factor < 1:
-        raise ValueError("upsample_nearest: factor must be a positive integer")
-    n, c, h, w = x.shape
-    out = np.repeat(np.repeat(x.data, factor, axis=2), factor, axis=3)
-
-    def back(g):
-        return (g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5)),)
-
-    return Tensor._node(out, (x,), back)
+    return resample(x, _cell_mean_matrix(gh, h), _cell_mean_matrix(gw, w))
 
 
 def upsample_nearest_to(x: Tensor, oh: int, ow: int) -> Tensor:
     """Nearest upsampling to an arbitrary target size (source cell = i*h//oh)."""
-    n, c, h, w = x.shape
-    ri = np.arange(oh) * h // oh
-    ci = np.arange(ow) * w // ow
-    out = x.data[:, :, ri][:, :, :, ci]
-
-    def back(g):
-        tmp = np.zeros((n, c, h, ow), dtype=g.dtype)
-        np.add.at(tmp.transpose(2, 0, 1, 3), ri, g.transpose(2, 0, 1, 3))
-        gx = np.zeros((n, c, h, w), dtype=g.dtype)
-        np.add.at(gx.transpose(3, 0, 1, 2), ci, tmp.transpose(3, 0, 1, 2))
-        return (gx,)
-
-    return Tensor._node(out.copy(), (x,), back)
+    _, _, h, w = x.shape
+    return resample(x, _nearest_matrix(oh, h), _nearest_matrix(ow, w))
 
 
 def bilinear_resize(x: Tensor, oh: int, ow: int) -> Tensor:
     """Bilinear resize (half-pixel centers), used for position-embedding rescale."""
-    n, c, h, w = x.shape
-    ys = np.clip((np.arange(oh) + 0.5) * h / oh - 0.5, 0, h - 1)
-    xs = np.clip((np.arange(ow) + 0.5) * w / ow - 0.5, 0, w - 1)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0).astype(x.dtype)
-    wx = (xs - x0).astype(x.dtype)
-
-    xd = x.data
-    top = xd[:, :, y0][:, :, :, x0] * (1 - wx) + xd[:, :, y0][:, :, :, x1] * wx
-    bot = xd[:, :, y1][:, :, :, x0] * (1 - wx) + xd[:, :, y1][:, :, :, x1] * wx
-    out = top * (1 - wy)[None, None, :, None] + bot * wy[None, None, :, None]
-
-    def back(g):
-        gx = np.zeros((n, c, h * w), dtype=g.dtype)
-        gt = g.transpose(2, 3, 0, 1)  # [oh, ow, n, c]
-        for yi, wyi in ((y0, 1 - wy), (y1, wy)):
-            for xi, wxi in ((x0, 1 - wx), (x1, wx)):
-                idx = (yi[:, None] * w + xi[None, :]).ravel()
-                contrib = (gt * (wyi[:, None] * wxi[None, :])[:, :, None, None])
-                np.add.at(gx.transpose(2, 0, 1), idx,
-                          contrib.reshape(oh * ow, n, c))
-        return (gx.reshape(n, c, h, w),)
-
-    return Tensor._node(out, (x,), back)
+    _, _, h, w = x.shape
+    return resample(x, _bilinear_matrix(oh, h), _bilinear_matrix(ow, w))
 
 
 # -- linear recurrence (selective-scan core) ----------------------------------

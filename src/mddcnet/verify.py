@@ -384,7 +384,7 @@ def check_attn_mlca_uniform_input(rng) -> str:
 def check_model_neck_zero_init_fpn(rng) -> str:
     """A fresh neck (zero-initialized mixer and attention branches) equals the
     plain lateral + upsample + add pyramid."""
-    from .model import A2Fpn, upsample_nearest
+    from .model import A2Fpn, upsample_nearest_to
     cfg = variant_config("n-toy")
     neck = A2Fpn(cfg.embed_dims[1:], cfg, rng)
     c3 = Tensor(rng.standard_normal((1, cfg.embed_dims[1], 8, 8)))
@@ -392,8 +392,8 @@ def check_model_neck_zero_init_fpn(rng) -> str:
     c5 = Tensor(rng.standard_normal((1, cfg.embed_dims[3], 2, 2)))
     got = neck(c3, c4, c5)
     p5 = neck.lateral5(c5)
-    p4 = neck.lateral4(c4) + upsample_nearest(p5, 2)
-    p3 = neck.lateral3(c3) + upsample_nearest(p4, 2)
+    p4 = neck.lateral4(c4) + upsample_nearest_to(p5, *c4.shape[2:])
+    p3 = neck.lateral3(c3) + upsample_nearest_to(p4, *c3.shape[2:])
     err = max(_max_abs(got.p3.data, p3.data), _max_abs(got.p4.data, p4.data),
               _max_abs(got.p5.data, p5.data))
     _require(err <= TOL_ORACLE, f"fresh neck deviates from plain FPN by {err:.3e}")

@@ -5,7 +5,10 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mddcnet.cli import main
+from mddcnet.data import generate_scene
 from mddcnet.io import (CheckpointError, load_checkpoint, read_ppm,
                         save_checkpoint, tensor_bytes, tensor_from_bytes,
                         write_ppm)
@@ -76,6 +79,76 @@ def test_checkpoint_detects_truncation(tmp_path):
     path.write_bytes(path.read_bytes()[:5])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _record(name: bytes, blob: bytes) -> bytes:
+    return struct.pack("<I", len(name)) + name + struct.pack("<I", len(blob)) + blob
+
+
+def _long_extent_blob() -> bytes:
+    blob = bytearray(tensor_bytes(np.ones(2)))
+    blob[12:16] = struct.pack("<I", 1000)      # magic | rank | extent
+    return bytes(blob)
+
+
+# bodies whose CRC is valid but whose content is not a checkpoint
+MALFORMED_BODIES = {
+    "name not utf-8": struct.pack("<I", 1) + _record(b"\xff\xfe", tensor_bytes(np.ones(2))),
+    "extent past buffer": struct.pack("<I", 1) + _record(b"w", _long_extent_blob()),
+    "count past records": struct.pack("<I", 3) + _record(b"w", tensor_bytes(np.ones(2))),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_BODIES)
+def test_checkpoint_malformed_body_is_checkpoint_error(tmp_path, case):
+    path = tmp_path / "ck.bin"
+    path.write_bytes(_with_crc(MALFORMED_BODIES[case]))
+    with pytest.raises(CheckpointError, match=f"checkpoint {path}: malformed record"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("case", MALFORMED_BODIES)
+def test_infer_malformed_checkpoint_exits_3(capsys, tmp_path, case):
+    img, ckpt = tmp_path / "img.ppm", tmp_path / "ck.bin"
+    write_ppm(img, generate_scene(1).image)
+    ckpt.write_bytes(_with_crc(MALFORMED_BODIES[case]))
+    code = main(["infer", str(img), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3 and f"i/o error: checkpoint {ckpt}: malformed record" in err
+    assert "Traceback" not in err
+
+
+VALID_BODY = b"".join([struct.pack("<I", 2),
+                       _record(b"w", tensor_bytes(np.ones((2, 3)))),
+                       _record(b"b", tensor_bytes(np.zeros(2, dtype=np.float32)))])
+
+
+@st.composite
+def _crc_valid_files(draw):
+    """Random bytes, or a valid body with a few bytes overwritten and its end
+    cut off; either way with a correct CRC."""
+    if draw(st.booleans()):
+        return _with_crc(draw(st.binary(max_size=64)))
+    body = bytearray(VALID_BODY)
+    for _ in range(draw(st.integers(0, 3))):
+        body[draw(st.integers(0, len(body) - 1))] = draw(st.integers(0, 255))
+    return _with_crc(bytes(body[:draw(st.integers(0, len(body)))]))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(raw=_crc_valid_files())
+def test_checkpoint_with_valid_crc_loads_or_raises_checkpoint_error(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    path.write_bytes(raw)
+    try:
+        state = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert all(isinstance(v, np.ndarray) for v in state.values())
 
 
 def test_checkpoint_preserves_order(tmp_path):

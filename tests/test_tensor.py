@@ -8,10 +8,11 @@ import pytest
 
 from mddcnet.tensor import (Tensor, concat, conv2d, maximum, minimum,
                             adaptive_avg_pool2d,
-                            upsample_nearest, scan_seq,
+                            upsample_nearest_to, scan_seq,
                             batch_norm, bilinear_resize, Conv2d, Linear,
                             BatchNorm2d, no_grad)
 from mddcnet.gradcheck import grad_check
+from mddcnet.msddc import bilinear_sample
 
 RNG = np.random.default_rng(0)
 
@@ -142,9 +143,91 @@ def test_logistic_is_finite_and_matches_masked_form_at_extremes():
 
 def test_upsample_then_avgpool_is_identity():
     x = Tensor(RNG.standard_normal((1, 2, 3, 3)))
-    up = upsample_nearest(x, 2).data
+    up = upsample_nearest_to(x, 6, 6).data
     y = up.reshape(1, 2, 3, 2, 3, 2).mean(axis=(3, 5))   # 2x2 average pool
     assert np.max(np.abs(y - x.data)) < 1e-12
+
+
+# -- resampling: oracles and gradients -------------------------------------------
+
+@pytest.mark.parametrize("shape, size", [((2, 2, 10, 8), (3, 5)), ((2, 2, 3, 3), (7, 7))])
+def test_bilinear_resize_matches_scalar_bilinear_sample(shape, size):
+    # at clipped half-pixel centres the zero-padded sample equals the clamped
+    # resize: a corner off the image always carries weight 0
+    n, c, h, w = shape
+    oh, ow = size
+    xd = RNG.standard_normal(shape)
+    g = RNG.standard_normal((n, c, oh, ow))
+    ys = np.clip((np.arange(oh) + 0.5) * h / oh - 0.5, 0, h - 1)
+    xs = np.clip((np.arange(ow) + 0.5) * w / ow - 0.5, 0, w - 1)
+    x_ref = Tensor(xd, requires_grad=True)
+    ref = np.zeros((n, c, oh, ow))
+    loss = None
+    for ni in range(n):
+        for ci in range(c):
+            for i, py in enumerate(ys):
+                for j, px in enumerate(xs):
+                    v = bilinear_sample(x_ref, py, px, ni, ci)
+                    ref[ni, ci, i, j] = v.item()
+                    term = v * float(g[ni, ci, i, j])
+                    loss = term if loss is None else loss + term
+    loss.backward()
+    x = Tensor(xd, requires_grad=True)
+    out = bilinear_resize(x, oh, ow)
+    (out * g).sum().backward()
+    assert np.max(np.abs(out.data - ref)) < 1e-14
+    assert np.max(np.abs(x.grad - x_ref.grad)) < 1e-14
+
+
+@pytest.mark.parametrize("shape, grid", [((2, 3, 5, 7), (2, 3)), ((1, 2, 7, 5), (3, 2)),
+                                         ((2, 1, 16, 16), (5, 5)), ((1, 2, 3, 3), (1, 1))])
+def test_adaptive_pool_matches_per_cell_slice_mean(shape, grid):
+    # torch-style cells [i*h//gh, ceil((i+1)*h/gh)) overlap when gh does not divide h
+    _, _, h, w = shape
+    gh, gw = grid
+    xd = RNG.standard_normal(shape)
+    ref = np.empty(shape[:2] + grid)
+    for i in range(gh):
+        for j in range(gw):
+            cell = xd[:, :, i * h // gh:-(-(i + 1) * h // gh),
+                      j * w // gw:-(-(j + 1) * w // gw)]
+            ref[:, :, i, j] = cell.mean(axis=(2, 3))
+    assert np.max(np.abs(adaptive_avg_pool2d(Tensor(xd), grid).data - ref)) < 1e-14
+
+
+@pytest.mark.parametrize("shape, size", [((2, 3, 5, 5), (16, 16)), ((1, 2, 3, 2), (7, 5)),
+                                         ((1, 1, 4, 6), (8, 12))])
+def test_upsample_nearest_to_matches_gather(shape, size):
+    _, _, h, w = shape
+    oh, ow = size
+    xd = RNG.standard_normal(shape)
+    ri, ci = np.arange(oh) * h // oh, np.arange(ow) * w // ow
+    assert np.array_equal(upsample_nearest_to(Tensor(xd), oh, ow).data,
+                          xd[:, :, ri][:, :, :, ci])
+
+
+@pytest.mark.parametrize("op, shape, args", [
+    (bilinear_resize, (2, 2, 5, 4), (3, 7)),
+    (bilinear_resize, (1, 2, 3, 6), (7, 2)),
+    (adaptive_avg_pool2d, (2, 2, 5, 7), ((2, 3),)),
+    (adaptive_avg_pool2d, (1, 2, 7, 4), ((3, 4),)),
+    (upsample_nearest_to, (2, 2, 3, 2), (7, 5)),
+    (upsample_nearest_to, (1, 2, 2, 3), (4, 9)),
+])
+def test_resampling_gradients(op, shape, args):
+    x = Tensor(RNG.standard_normal(shape), requires_grad=True)
+    coeff = RNG.standard_normal(op(x, *args).shape)
+    rep = grad_check(lambda: (op(x, *args) * coeff).sum(), [("x", x)])
+    assert max(rep.values()) < 1e-6
+
+
+def test_resampling_keeps_float32():
+    x = Tensor(RNG.standard_normal((1, 2, 5, 6)).astype(np.float32), requires_grad=True)
+    for out in (bilinear_resize(x, 3, 7), adaptive_avg_pool2d(x, (2, 4)),
+                upsample_nearest_to(x, 9, 8)):
+        x.grad = None
+        out.sum().backward()
+        assert out.dtype == np.float32 and x.grad.dtype == np.float32
 
 
 def test_gap_of_constant_map():
