@@ -135,16 +135,11 @@ def cmd_report(args) -> int:
 def cmd_gradcheck(args) -> int:
     # finite differences are only meaningful in double precision
     report = block_gradcheck_suite(seed=args.seed)
-    ok = all(err <= GRADCHECK_TOL for err in report.values())
-    if args.json:
-        for name, err in report.items():
-            print(json.dumps({"name": name, "max_rel_err": float(err),
-                              "passed": bool(err <= GRADCHECK_TOL),
-                              "tolerance": GRADCHECK_TOL}))
-        return 0 if ok else 1
     width = max(len(k) for k in report)
+    ok = True
     for name, err in report.items():
         status = "PASS" if err <= GRADCHECK_TOL else "FAIL"
+        ok &= err <= GRADCHECK_TOL
         print(f"{status}  {name:<{width}}  max rel err {err:.3e}")
     print(f"tolerance {GRADCHECK_TOL:g} (double precision)")
     return 0 if ok else 1
@@ -344,9 +339,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("gradcheck", parents=[common],
                        help="finite-difference checks of every block family")
-    p.add_argument("--json", action="store_true",
-                   help="print one JSON object per block family: name, max_rel_err, "
-                        "passed, tolerance")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("train", parents=[common],

@@ -8,10 +8,13 @@ treated as immutable.
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+from scipy import sparse
 from scipy.special import erf as _erf, expit as _expit
 
 __all__ = [
@@ -525,42 +528,80 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
 # -- resampling ----------------------------------------------------------------
 # Pooling to a grid, nearest upsampling and bilinear resizing are separable
-# linear maps over the two spatial axes. Each builds one dense [out, in]
-# matrix per axis and goes through the single tape op ``resample``.
+# maps M = Ry ⊗ Rx of sparse 1-D [out, in] factors, applied by the one tape op
+# ``resample``; its work scales with M's nonzeros and the pixels M reads.
 
-def resample(x: Tensor, ry: np.ndarray, rx: np.ndarray) -> Tensor:
-    """out = Ry · x · Rxᵀ over the spatial axes of an [N,C,H,W] tensor, for
-    Ry [OH,H] and Rx [OW,W]; the input gradient is Ryᵀ · g · Rx."""
-    ry, rx = ry.astype(x.dtype, copy=False), rx.astype(x.dtype, copy=False)
-    return Tensor._node(ry @ x.data @ rx.T, (x,), lambda g: (ry.T @ g @ rx,))
+class SpatialMap(NamedTuple):
+    """A sparse linear map from [h, w] images to ``out`` = (oh, ow) images:
+    ``m`` [oh·ow, k] weighs the k input pixels ``cols`` (flat indices) that
+    the map reads, and ``mt`` [h·w, oh·ow] is the whole map transposed."""
+    m: sparse.coo_array
+    cols: np.ndarray
+    mt: sparse.coo_array
+    out: tuple[int, int]
 
 
-def _nearest_matrix(out: int, n: int) -> np.ndarray:
+def resample(x: Tensor, r: SpatialMap) -> Tensor:
+    """Per image and channel, out = M · vec(x) as an [oh, ow] image; the
+    input gradient is Mᵀ · vec(g).
+
+    Only nonzero weights multiply, so a NaN or inf pixel reaches just the
+    outputs that weigh it, and a non-finite output gradient just the pixels
+    that output weighs."""
+    n, c, h, w = x.shape
+    out = r.m @ x.data.reshape(n * c, h * w).T[r.cols]
+
+    def back(g):
+        gx = r.mt @ g.reshape(n * c, -1).T
+        return (np.ascontiguousarray(gx.T).reshape(n, c, h, w),)
+
+    return Tensor._node(np.ascontiguousarray(out.T).reshape(n, c, *r.out), (x,), back)
+
+
+@functools.lru_cache(maxsize=64)
+def _separable(factor, h: int, w: int, oh: int, ow: int, dtype) -> SpatialMap:
+    """M = factor(oh, h) ⊗ factor(ow, w) in ``dtype``; cached, since a step
+    asks for the same few sizes again and again, so callers share the result
+    and must not modify it."""
+    ry, rx = factor(oh, h).astype(dtype), factor(ow, w).astype(dtype)
+    ry.eliminate_zeros()    # a zero weight reads nothing, not even a NaN
+    rx.eliminate_zeros()
+    # the input rows and columns that the map reads
+    ys = np.flatnonzero(np.bincount(ry.indices, minlength=h))
+    xs = np.flatnonzero(np.bincount(rx.indices, minlength=w))
+    m = sparse.kron(ry[:, ys], rx[:, xs], format="coo")
+    cols = (ys[:, None] * w + xs).ravel()
+    mt = sparse.coo_array((m.data, (cols[m.col], m.row)), shape=(h * w, oh * ow))
+    return SpatialMap(m, cols, mt, (oh, ow))
+
+
+def _nearest_factor(out: int, n: int) -> sparse.csr_array:
     """Row i picks source index i*n//out."""
-    r = np.zeros((out, n))
-    r[np.arange(out), np.arange(out) * n // out] = 1.0
-    return r
+    rows = np.arange(out)
+    return sparse.csr_array((np.ones(out), (rows, rows * n // out)), shape=(out, n))
 
 
-def _cell_mean_matrix(out: int, n: int) -> np.ndarray:
+def _cell_mean_factor(out: int, n: int) -> sparse.csr_array:
     """Row i averages the torch-style cell [i*n//out, ceil((i+1)*n/out));
     neighbouring cells overlap when out does not divide n."""
     i = np.arange(out)
     lo, hi = i * n // out, -(-(i + 1) * n // out)
-    cols = np.arange(n)
-    return ((cols >= lo[:, None]) & (cols < hi[:, None])) / (hi - lo)[:, None]
+    size = hi - lo
+    rows = np.repeat(i, size)
+    cols = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size - lo, size)
+    return sparse.csr_array((1.0 / size[rows], (rows, cols)), shape=(out, n))
 
 
-def _bilinear_matrix(out: int, n: int) -> np.ndarray:
+def _bilinear_factor(out: int, n: int) -> sparse.csr_array:
     """Linear interpolation at half-pixel centres clipped to [0, n-1]."""
     s = np.clip((np.arange(out) + 0.5) * n / out - 0.5, 0, n - 1)
     i0 = np.floor(s).astype(np.int64)
     w = s - i0
     rows = np.arange(out)
-    r = np.zeros((out, n))
-    r[rows, i0] = 1.0 - w
-    r[rows, np.minimum(i0 + 1, n - 1)] += w    # at the border both weights land on i0
-    return r
+    # at the border both weights land on i0; entries sharing a place add up
+    return sparse.csr_array((np.r_[1.0 - w, w], (np.r_[rows, rows],
+                                                 np.r_[i0, np.minimum(i0 + 1, n - 1)])),
+                            shape=(out, n))
 
 
 def adaptive_avg_pool2d(x: Tensor, grid: tuple[int, int]) -> Tensor:
@@ -570,19 +611,19 @@ def adaptive_avg_pool2d(x: Tensor, grid: tuple[int, int]) -> Tensor:
     gh, gw = min(grid[0], h), min(grid[1], w)
     if gh < 1 or gw < 1:
         raise ValueError("adaptive_avg_pool2d: empty input")
-    return resample(x, _cell_mean_matrix(gh, h), _cell_mean_matrix(gw, w))
+    return resample(x, _separable(_cell_mean_factor, h, w, gh, gw, x.dtype))
 
 
 def upsample_nearest_to(x: Tensor, oh: int, ow: int) -> Tensor:
     """Nearest upsampling to an arbitrary target size (source cell = i*h//oh)."""
     _, _, h, w = x.shape
-    return resample(x, _nearest_matrix(oh, h), _nearest_matrix(ow, w))
+    return resample(x, _separable(_nearest_factor, h, w, oh, ow, x.dtype))
 
 
 def bilinear_resize(x: Tensor, oh: int, ow: int) -> Tensor:
     """Bilinear resize (half-pixel centers), used for position-embedding rescale."""
     _, _, h, w = x.shape
-    return resample(x, _bilinear_matrix(oh, h), _bilinear_matrix(ow, w))
+    return resample(x, _separable(_bilinear_factor, h, w, oh, ow, x.dtype))
 
 
 # -- linear recurrence (selective-scan core) ----------------------------------

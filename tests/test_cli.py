@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mddcnet import cli, verify
+from mddcnet import verify
 from mddcnet.cli import main
 from mddcnet.io import read_ppm, write_ppm, load_checkpoint, save_checkpoint
 from mddcnet.data import generate_scene
@@ -119,17 +119,6 @@ def test_verify_seed_env_fallback(capsys, monkeypatch):
 
 
 # -- report / gradcheck ----------------------------------------------------------
-
-def test_gradcheck_json_prints_one_object_per_family(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "block_gradcheck_suite",
-                        lambda seed: {"mlca": 3.8e-9, "injected": np.float64(0.5)})
-    code, out, _ = run(capsys, "gradcheck", "--json")
-    records = [json.loads(line) for line in out.splitlines()]
-    assert code == 1
-    assert records == [
-        {"name": "mlca", "max_rel_err": 3.8e-9, "passed": True, "tolerance": 1e-4},
-        {"name": "injected", "max_rel_err": 0.5, "passed": False, "tolerance": 1e-4}]
-
 
 @pytest.mark.parametrize("variant", ["n", "t", "b"])
 def test_report_budget_table(capsys, variant):

@@ -230,6 +230,38 @@ def test_resampling_keeps_float32():
         assert out.dtype == np.float32 and x.grad.dtype == np.float32
 
 
+@pytest.mark.parametrize("op, shape, pixel, out_bad, g_bad", [
+    # the 2x2 cell (1, 2) holds pixel (3, 4); output (0, 0) averages [0:2, 0:2]
+    (lambda x: adaptive_avg_pool2d(x, (3, 3)), (6, 6), (3, 4),
+     (slice(1, 2), slice(2, 3)), (slice(0, 2), slice(0, 2))),
+    # rows 2-3 and columns 4-5 pick pixel (1, 2); output (0, 0) reads pixel (0, 0)
+    (lambda x: upsample_nearest_to(x, 6, 6), (3, 3), (1, 2),
+     (slice(2, 4), slice(4, 6)), (slice(0, 1), slice(0, 1))),
+    # halving puts output i halfway between pixels 2i and 2i+1
+    (lambda x: bilinear_resize(x, 4, 4), (8, 8), (4, 5),
+     (slice(2, 3), slice(2, 3)), (slice(0, 2), slice(0, 2))),
+    # at scale 1 each output sits on its pixel: the neighbours weigh exactly 0
+    (lambda x: bilinear_resize(x, 6, 6), (6, 6), (3, 4),
+     (slice(3, 4), slice(4, 5)), (slice(0, 1), slice(0, 1))),
+], ids=["pool", "nearest", "bilinear", "bilinear-scale-1"])
+def test_resampling_keeps_non_finite_values_local(op, shape, pixel, out_bad, g_bad):
+    # an inf pixel turns only the outputs that read it non-finite, and an inf
+    # output gradient only the pixels that output reads
+    xd = np.ones((1, 1) + shape)
+    xd[0, 0][pixel] = np.inf
+    x = Tensor(xd, requires_grad=True)
+    out = op(x)
+    expect = np.zeros(out.shape[2:], dtype=bool)
+    expect[out_bad] = True
+    assert np.array_equal(~np.isfinite(out.data[0, 0]), expect)
+    g = np.ones(out.shape)
+    g[0, 0, 0, 0] = np.inf
+    (gx,) = out._backward(g)
+    expect = np.zeros(shape, dtype=bool)
+    expect[g_bad] = True
+    assert np.array_equal(~np.isfinite(gx[0, 0]), expect)
+
+
 def test_gap_of_constant_map():
     x = Tensor(np.full((2, 3, 4, 5), 2.5))
     assert np.all(x.mean(axis=(2, 3), keepdims=True).data == 2.5)
