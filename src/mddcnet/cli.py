@@ -179,7 +179,8 @@ def _letterbox(img: np.ndarray, size: int, dtype):
     scale = min(size / h, size / w)
     nh, nw = max(int(round(h * scale)), 1), max(int(round(w * scale)), 1)
     with no_grad():
-        resized = bilinear_resize(Tensor(img[None].astype(dtype)), nh, nw).data[0]
+        x = Tensor(img[None].astype(dtype, copy=False))
+        resized = bilinear_resize(x, nh, nw).data[0]
     canvas = np.full((3, size, size), 0.5, dtype=dtype)
     py, px = (size - nh) // 2, (size - nw) // 2
     canvas[:, py:py + nh, px:px + nw] = resized

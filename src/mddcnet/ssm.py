@@ -22,9 +22,10 @@ __all__ = ["MambaBlockConfig", "discretize_zoh", "selective_scan",
            "selective_scan_ref", "scan_scaling", "MambaBlock", "MambaBlock2d"]
 
 _SERIES_EPS = 1e-6
-# Tokens per chunk of the fused scan: a chunk's [N, T, D, S] working arrays
-# stay in cache, and backward keeps only the state at each chunk start.
-SCAN_CHUNK = 16
+# Elements of one [N, T, S, D] working array of the fused scan, which sets
+# its chunk length T = CHUNK_ELEMENTS // (N·S·D): a chunk's ten or so live
+# arrays stay in cache, and backward keeps one [N, S, D] state per chunk.
+CHUNK_ELEMENTS = 32768
 
 
 @dataclass
@@ -86,20 +87,31 @@ def selective_scan_ref(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     return (h * c.reshape(n, l, 1, s)).sum(axis=3) + u * d_skip
 
 
-def _zoh_chunk(dd, ad, bd, ud, small):
-    """Δ·A, e^{ΔA} − 1, the B̄ factor (e^{ΔA} − 1)/A (Δ-series where
-    |Δ·A| < eps when ``small``) and B̄·u of one chunk, each [N, T, D, S]."""
-    dd4 = dd[..., None]
-    da = dd4 * ad
-    em1 = np.expm1(da)
-    bf = em1 / ad
+def _chunk_len(n: int, s: int, d: int) -> int:
+    """Tokens per chunk of the fused scan for batch N, state S and width D."""
+    return max(CHUNK_ELEMENTS // (n * s * d), 1)
+
+
+def _zoh_chunk(dd, at, inv_a, bd, ud, small, out):
+    """Ā = e^{ΔA}, the B̄ factor bf = (e^{ΔA} − 1)/A (the Δ-series where
+    |Δ·A| < eps when ``small``), B·u and x = bf·B·u of one chunk, each
+    [N, T, S, D] and written into the four arrays ``out``, and the mask of
+    the series entries (None unless ``small``). ``at`` and ``inv_a`` are A
+    and 1/A as [S, D]."""
+    abar, bf, bu, x = (w[:, :dd.shape[1]] for w in out)
+    np.einsum("ntd,sd->ntsd", dd, at, out=abar)          # Δ·A
     mask = None
     if small:
-        mask = np.abs(da) < _SERIES_EPS
-        bf = np.where(mask, dd4 * (1.0 + 0.5 * da), bf)
-    x = bf * bd[:, :, None, :]
-    x *= ud[..., None]
-    return da, em1, bf, x, mask
+        mask = np.abs(abar) < _SERIES_EPS
+        series = dd[:, :, None, :] * (1.0 + 0.5 * abar)
+    np.expm1(abar, out=abar)
+    np.multiply(abar, inv_a, out=bf)
+    if small:
+        np.copyto(bf, series, where=mask)
+    abar += 1.0
+    np.einsum("nts,ntd->ntsd", bd, ud, out=bu)
+    np.multiply(bf, bu, out=x)
+    return abar, bf, bu, x, mask
 
 
 def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
@@ -111,9 +123,12 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
     where h_t = abar_t ⊙ h_{t-1} + bbar_t·u_t, h_0 = 0 and (abar, bbar)
     = discretize_zoh(a, b, delta).
 
-    One tape node: the sequence is walked in chunks of SCAN_CHUNK tokens and
-    only the state at each chunk start is kept; backward recomputes a
-    chunk's states from it and runs the reverse recurrence per chunk.
+    One tape node: the sequence is walked in chunks of
+    CHUNK_ELEMENTS // (N·S·D) tokens (at least 1, at most L) and only the
+    state at each chunk start is kept; backward recomputes a chunk's states
+    from it and runs the reverse recurrence per chunk. A chunk's working
+    arrays are [N, T, S, D], state-major, so the wide D is the contiguous
+    axis of every broadcast and every sum over S.
     """
     ud, dd, ad, bd, cd, skd = (t.data for t in (u, delta, a, b, c, d_skip))
     if np.any(dd <= 0):
@@ -121,61 +136,69 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
     n, l, d = ud.shape
     s = ad.shape[1]
     dtype = np.result_type(ud, dd, ad, bd, cd, skd)
+    at = np.ascontiguousarray(ad.T, dtype=dtype)
+    inv_a = 1.0 / at
     small = bool((dd * np.abs(ad).min(axis=1)).min() < _SERIES_EPS)
-    chunks = [slice(t0, t0 + SCAN_CHUNK) for t0 in range(0, l, SCAN_CHUNK)]
-    h_start = np.zeros((len(chunks), n, d, s), dtype=dtype)
+    tc = min(_chunk_len(n, s, d), l)
+    chunks = [slice(t0, t0 + tc) for t0 in range(0, l, tc)]
+    h_start = np.zeros((len(chunks), n, s, d), dtype=dtype)
     y = np.empty((n, l, d), dtype=dtype)
+    work = np.empty((4, n, tc, s, d), dtype=dtype)
     for i, sl in enumerate(chunks):
-        _, em1, _, x, _ = _zoh_chunk(dd[:, sl], ad, bd[:, sl], ud[:, sl], small)
-        h = scan_seq(em1 + 1.0, x, h_start[i])
+        abar, _, _, x, _ = _zoh_chunk(dd[:, sl], at, inv_a, bd[:, sl], ud[:, sl],
+                                      small, work)
+        h = scan_seq(abar, x, h_start[i], out=x)
         if i + 1 < len(chunks):
             h_start[i + 1] = h[:, -1]
-        y[:, sl] = (h @ cd[:, sl, :, None])[..., 0]
+        y[:, sl] = (cd[:, sl, None, :] @ h)[:, :, 0]
     y += ud * skd
 
     def back(g):
-        ones_s = np.ones(s, dtype=dtype)
         gu = g * skd
         gdelta = np.empty_like(gu)
         gb = np.empty((n, l, s), dtype=dtype)
         gc = np.empty((n, l, s), dtype=dtype)
-        ga_abar = np.zeros(d * s, dtype=dtype)   # Σ Δ·Ā·dL/dĀ
-        ga_bf = np.zeros(d * s, dtype=dtype)     # Σ A²·∂bf/∂A·dL/dbf
-        carry = np.zeros((n, d, s), dtype=dtype)  # Ā_{t+1}·q_{t+1} past the chunk
+        ga_sum = np.zeros((s, d), dtype=dtype)     # A·dL/dA off the series
+        ga_series = np.zeros((s, d), dtype=dtype)  # dL/dA of the series entries
+        carry = np.zeros((n, s, d), dtype=dtype)   # Ā_{t+1}·q_{t+1} past the chunk
+        work = np.empty((7, n, tc, s, d), dtype=dtype)
+        ones_s = np.ones((1, s), dtype=dtype)
         for i in reversed(range(len(chunks))):
             sl = chunks[i]
-            dc, uc, gi = dd[:, sl], ud[:, sl], g[:, sl]
-            bc = bd[:, sl, :, None]
-            da, em1, bf, x, mask = _zoh_chunk(dc, ad, bd[:, sl], uc, small)
-            abar = em1 + 1.0
-            h = scan_seq(abar, x, h_start[i])
-            gc[:, sl] = (gi[:, :, None, :] @ h)[:, :, 0, :]
+            dc, uc, gi, bc = dd[:, sl], ud[:, sl], g[:, sl], bd[:, sl]
+            abar, bf, bu, x, mask = _zoh_chunk(dc, at, inv_a, bc, uc, small,
+                                             work[:4])
+            h, q, z = (w[:, :x.shape[1]] for w in work[4:])
+            scan_seq(abar, x, h_start[i], out=h)
+            gc[:, sl] = (h @ gi[..., None])[..., 0]
             # q_t = dL/dh_t = g_t·C_t + Ā_{t+1}·q_{t+1}; dL/dx_t = q_t
-            q = gi[..., None] * cd[:, sl, None, :]
+            np.einsum("nts,ntd->ntsd", cd[:, sl], gi, out=q)
             q[:, -1] += carry
-            for t in range(q.shape[1] - 2, -1, -1):
-                q[:, t] += abar[:, t + 1] * q[:, t + 1]
-            carry = abar[:, 0] * q[:, 0]
+            scan_seq(abar[:, :0:-1], q[:, -2::-1], q[:, -1], out=q[:, -2::-1])
+            np.multiply(abar[:, 0], q[:, 0], out=carry)
             # x = bf·B·u gives the gradients of u and B
-            qbf = q * bf
-            gu[:, sl] += (qbf @ bc)[..., 0]
-            gb[:, sl] = (uc[:, :, None, :] @ qbf)[:, :, 0, :]
-            # ∂Ā/∂Δ = Ā·A and ∂bf/∂Δ = Ā, so both Δ paths go through q·Ā
-            w = q * abar
-            gdelta[:, sl] = uc * (w @ bc)[..., 0]
-            w *= np.concatenate((h_start[i][:, None], h[:, :-1]), axis=1)
-            gdelta[:, sl] += ((w * ad).reshape(-1, s) @ ones_s).reshape(dc.shape)
-            w *= dc[..., None]
-            ga_abar += w.reshape(-1, d * s).sum(axis=0)
-            # A²·∂bf/∂A = ΔA·e^{ΔA} − (e^{ΔA} − 1); series: A²·Δ²/2
-            dbf = da * abar
-            dbf -= em1
+            qbf = np.multiply(bf, q, out=bf)
+            gu[:, sl] += (bc[:, :, None, :] @ qbf)[:, :, 0]
+            gb[:, sl] = (qbf @ uc[..., None])[..., 0]
+            # ∂Ā/∂Δ = A·Ā and ∂bf/∂Δ = Ā, so dL/dΔ = Σ_s q·Ā·(A·h_{t-1} + B·u)
+            # = Σ_s z with z = q·(A·h_t + B·u), as A·bf = Ā − 1
+            np.multiply(h, at, out=z)
+            z += bu
+            z *= q
+            gdelta[:, sl] = (ones_s @ z)[:, :, 0]
+            # dL/dA = Σ q·(Δ·Ā·h_{t-1} + B·u·∂bf/∂A) and A·∂bf/∂A = Δ·Ā − bf,
+            # so A·dL/dA = Σ Δ·z − q·x
             if mask is not None:
-                dbf = np.where(mask, 0.5 * da * da, dbf)
-            dbf *= q * bc.transpose(0, 1, 3, 2)
-            dbf *= uc[..., None]
-            ga_bf += dbf.reshape(-1, d * s).sum(axis=0)
-        ga = (ga_abar + ga_bf / (ad * ad).ravel()).reshape(d, s)
+                # at the series entries (A·∂bf/∂A = A·Δ²/2) that difference
+                # would cancel: take them out and add their exact terms
+                dc4 = dc[:, :, None, :]
+                exact = q * dc4 * (0.5 * dc4 * bu + h - x)
+                ga_series += np.where(mask, exact, 0.0).sum(axis=(0, 1))
+                z[mask] = 0.0
+                x[mask] = 0.0
+            ga_sum += np.einsum("ntsd,ntd->sd", z, dc)
+            ga_sum -= np.einsum("ntsd,ntsd->sd", q, x)
+        ga = np.ascontiguousarray((ga_sum * inv_a + ga_series).T)
         gskip = (g * ud).reshape(-1, d).sum(axis=0)
         return gu, gdelta, ga, gb, gc, gskip
 

@@ -534,10 +534,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 class SpatialMap(NamedTuple):
     """A sparse linear map from [h, w] images to ``out`` = (oh, ow) images:
     ``m`` [oh·ow, k] weighs the k input pixels ``cols`` (flat indices) that
-    the map reads, and ``mt`` [h·w, oh·ow] is the whole map transposed."""
+    the map reads."""
     m: sparse.coo_array
     cols: np.ndarray
-    mt: sparse.coo_array
     out: tuple[int, int]
 
 
@@ -552,8 +551,10 @@ def resample(x: Tensor, r: SpatialMap) -> Tensor:
     out = r.m @ x.data.reshape(n * c, h * w).T[r.cols]
 
     def back(g):
-        gx = r.mt @ g.reshape(n * c, -1).T
-        return (np.ascontiguousarray(gx.T).reshape(n, c, h, w),)
+        # only the pixels M reads get a gradient
+        gx = np.zeros((n * c, h * w), dtype=g.dtype)
+        gx[:, r.cols] = (r.m.T @ g.reshape(n * c, -1).T).T
+        return (gx.reshape(n, c, h, w),)
 
     return Tensor._node(np.ascontiguousarray(out.T).reshape(n, c, *r.out), (x,), back)
 
@@ -571,8 +572,7 @@ def _separable(factor, h: int, w: int, oh: int, ow: int, dtype) -> SpatialMap:
     xs = np.flatnonzero(np.bincount(rx.indices, minlength=w))
     m = sparse.kron(ry[:, ys], rx[:, xs], format="coo")
     cols = (ys[:, None] * w + xs).ravel()
-    mt = sparse.coo_array((m.data, (cols[m.col], m.row)), shape=(h * w, oh * ow))
-    return SpatialMap(m, cols, mt, (oh, ow))
+    return SpatialMap(m, cols, (oh, ow))
 
 
 def _nearest_factor(out: int, n: int) -> sparse.csr_array:
@@ -628,18 +628,20 @@ def bilinear_resize(x: Tensor, oh: int, ow: int) -> Tensor:
 
 # -- linear recurrence (selective-scan core) ----------------------------------
 
-def scan_seq(abar: np.ndarray, bu: np.ndarray,
-             h0: np.ndarray | None = None) -> np.ndarray:
+def scan_seq(abar: np.ndarray, bu: np.ndarray, h0: np.ndarray | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
     """h_t = abar_t * h_{t-1} + bu_t along axis 1, starting from the state
-    h0 (zero when None) before the first step. Raw-array kernel."""
-    h = np.empty_like(bu)
-    acc = h0 if h0 is not None else np.zeros(bu.shape[:1] + bu.shape[2:],
-                                             dtype=bu.dtype)
+    h0 (zero when None) before the first step, written to ``out`` (a new
+    array when None; ``bu`` itself is allowed). Any strides work, so on
+    reversed views the recurrence runs from the last token to the first.
+    Raw-array kernel."""
+    h = np.empty_like(bu) if out is None else out
+    step_shape = bu.shape[:1] + bu.shape[2:]
+    acc = h0 if h0 is not None else np.zeros(step_shape, dtype=h.dtype)
+    prod = np.empty(step_shape, dtype=h.dtype)
     for t in range(bu.shape[1]):
-        ht = h[:, t]
-        np.multiply(abar[:, t], acc, out=ht)
-        ht += bu[:, t]
-        acc = ht
+        np.multiply(abar[:, t], acc, out=prod)
+        acc = np.add(prod, bu[:, t], out=h[:, t])
     return h
 
 

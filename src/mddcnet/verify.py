@@ -20,7 +20,7 @@ import numpy as np
 
 from .tensor import Tensor, Conv2d, concat, conv2d, no_grad
 from .msddc import Msddc, MsddcConfig, bilinear_sample, deform_dilated_conv
-from .ssm import (SCAN_CHUNK, MambaBlock, MambaBlockConfig, discretize_zoh,
+from .ssm import (MambaBlock, MambaBlockConfig, _chunk_len, discretize_zoh,
                   selective_scan, selective_scan_ref)
 from .ffn_attn import Csca, FFN_KINDS, make_ffn
 from .model import MddcNet, count_params, decode_boxes, encode_box, \
@@ -173,14 +173,18 @@ def check_msddc_translation_equivariance(rng) -> str:
 
 def check_ssm_par_matches_seq(rng) -> str:
     """The fused chunked scan equals its taped composition (the oracle), in
-    output and in all six gradients, at lengths around the chunk size and
-    with a forced small step (Δ = 1e-9, the series fallback)."""
-    lengths = (1, 2, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, 64, 257)
+    output and in all six gradients, at lengths around the chunk length T
+    of each shape, up to three chunks, and with a forced small step
+    (Δ = 1e-9, the series fallback) across three chunks."""
+    # L = k·T + e with T the chunk length at each shape's N·S·D; D is wide
+    # enough that T stays in the hundreds
+    lengths = ((0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 3))
     worst_y = worst_g = 0.0
-    for i, l in enumerate(lengths + (2 * SCAN_CHUNK + 3,)):
+    for i, (k, e) in enumerate(lengths + ((2, 3),)):
         n = int(rng.integers(1, 3))
-        d = int(rng.integers(1, 8))
+        d = int(rng.integers(40, 100))
         s = int(rng.integers(1, 6))
+        l = k * _chunk_len(n, s, d) + e
         delta = np.exp(rng.uniform(-4, 0, (n, l, d)))
         if i == len(lengths):
             delta[:, ::2] = 1e-9
@@ -203,7 +207,7 @@ def check_ssm_par_matches_seq(rng) -> str:
     _require(worst_y <= TOL_ORACLE, f"max |fused - ref| = {worst_y:.3e}")
     _require(worst_g <= TOL_ORACLE,
              f"gradients: max |fused - ref| / max(1, |ref|) = {worst_g:.3e}")
-    return (f"L in {lengths} + small step, max err {worst_y:.3e}, "
+    return (f"L in 1, 2, T-1, T, T+1, 2T+3 + small step, max err {worst_y:.3e}, "
             f"gradients {worst_g:.3e}")
 
 

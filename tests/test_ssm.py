@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mddcnet.tensor import Tensor, flatten_hw, unflatten_hw
-from mddcnet.ssm import (MambaBlock, MambaBlock2d, MambaBlockConfig,
+from mddcnet.ssm import (MambaBlock, MambaBlock2d, MambaBlockConfig, _chunk_len,
                          discretize_zoh, selective_scan, selective_scan_ref)
 from mddcnet.gradcheck import grad_check
 from mddcnet.verify import CHECKS
@@ -62,12 +62,7 @@ def _run_scan(fn, arrays, coeff):
     return y.data, [t.grad for t in inputs]
 
 
-@pytest.mark.parametrize("length", [1, 2, 7, 64, 257])
-def test_par_matches_seq(length):
-    # the fused chunked scan against its taped composition, output and grads
-    rng = np.random.default_rng(length)
-    arrays = _random_scan_arrays(2, length, 6, 3, rng)
-    coeff = rng.standard_normal((2, length, 6))
+def _assert_matches_ref(arrays, coeff):
     y, grads = _run_scan(selective_scan, arrays, coeff)
     y_ref, grads_ref = _run_scan(selective_scan_ref, arrays, coeff)
     assert np.max(np.abs(y - y_ref)) <= 1e-10
@@ -75,11 +70,40 @@ def test_par_matches_seq(length):
         assert np.max(np.abs(g - r) / np.maximum(1.0, np.abs(r))) <= 1e-10
 
 
+# L = k·T + e, T the fused scan's chunk length at the test shape
+LENGTHS = {"1": (0, 1), "2": (0, 2), "7": (0, 7), "64": (0, 64), "257": (0, 257),
+           "T-1": (1, -1), "T": (1, 0), "T+1": (1, 1), "2T+3": (2, 3)}
+
+
+@pytest.mark.parametrize("k, e", LENGTHS.values(), ids=LENGTHS)
+def test_par_matches_seq(k, e):
+    # the fused chunked scan against its taped composition, output and grads
+    length = k * _chunk_len(2, 3, 6) + e
+    rng = np.random.default_rng(length)
+    arrays = _random_scan_arrays(2, length, 6, 3, rng)
+    _assert_matches_ref(arrays, rng.standard_normal((2, length, 6)))
+
+
+def test_series_fallback_across_chunks():
+    # A = -1e-9 at Δ = 0.1 puts every Δ·A of those states on the series path,
+    # where the two contracted sums of the A gradient cancel to rounding
+    # noise: their gradient must come from the series term in all three chunks
+    n, d, s = 2, 16, 4
+    length = 2 * _chunk_len(n, s, d) + 3
+    rng = np.random.default_rng(5)
+    arrays = _random_scan_arrays(n, length, d, s, rng)
+    arrays[1] = np.full((n, length, d), 0.1)
+    arrays[2][:, ::2] = -1e-9
+    _assert_matches_ref(arrays, rng.standard_normal((n, length, d)))
+
+
 def test_selective_scan_keeps_float32():
     rng = np.random.default_rng(8)
-    arrays = [x.astype(np.float32) for x in _random_scan_arrays(2, 21, 4, 3, rng)]
+    length = _chunk_len(2, 3, 4) + 5         # two chunks
+    arrays = [x.astype(np.float32)
+              for x in _random_scan_arrays(2, length, 4, 3, rng)]
     y, grads = _run_scan(selective_scan, arrays,
-                         rng.standard_normal((2, 21, 4)).astype(np.float32))
+                         rng.standard_normal((2, length, 4)).astype(np.float32))
     assert y.dtype == np.float32
     assert [g.dtype for g in grads] == [np.float32] * 6
 

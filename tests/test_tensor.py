@@ -329,6 +329,17 @@ def test_scan_par_matches_seq_raw():
                                            bu[:, t0:t0 + chunk], state)
             state = h[:, min(t0 + chunk, 37) - 1]
         assert np.array_equal(h, scan_seq(abar, bu))
+    # on reversed views, started from the last token, it is the reverse
+    # recurrence q_t += abar_{t+1}·q_{t+1} of the fused scan's backward
+    for chunk in (1, 5, 37):
+        a, ref = abar[:, :chunk], bu[:, :chunk].copy()
+        for t in range(chunk - 2, -1, -1):
+            ref[:, t] += a[:, t + 1] * ref[:, t + 1]
+        q = bu[:, :chunk].copy()
+        rev = scan_seq(a[:, :0:-1], q[:, -2::-1], q[:, -1])
+        assert np.array_equal(rev, ref[:, -2::-1])
+        scan_seq(a[:, :0:-1], q[:, -2::-1], q[:, -1], out=q[:, -2::-1])
+        assert np.array_equal(q, ref)
 
 
 def test_batch_norm_normalizes_and_tracks_stats():
