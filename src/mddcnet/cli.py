@@ -243,15 +243,27 @@ def cmd_infer(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    lengths = [int(v) for v in _csv_tuple(args.lengths)]
+    try:
+        lengths = [int(v) for v in _csv_tuple(args.lengths)]
+    except ValueError:
+        lengths = []
+    if not lengths or min(lengths) < 1:
+        raise UsageError(f"--lengths must be comma-separated positive integers, "
+                         f"got {args.lengths!r}")
+    if args.d_inner < 2 or args.d_inner % 2:
+        raise UsageError(f"--d-inner must be a positive even number, got {args.d_inner}")
+    if args.d_state < 1:
+        raise UsageError(f"--d-state must be at least 1, got {args.d_state}")
+    if args.reps < 1:
+        raise UsageError(f"--reps must be at least 1, got {args.reps}")
     rng = np.random.default_rng(args.seed)
-    scfg = MambaBlockConfig(d_model=args.d_inner // max(args.expand, 1),
-                            expand=max(args.expand, 1), d_state=args.d_state)
+    # the timed scan depends on D_inner alone, so the block does not widen
+    scfg = MambaBlockConfig(d_model=args.d_inner, expand=1, d_state=args.d_state)
     block = MambaBlock(scfg, rng)
     times, ratios = scan_scaling(block, lengths, args.reps, rng)
     print(f"selective scan, D_inner={scfg.d_inner}, S={args.d_state}, "
           f"BLAS threads {blas_threads() or '?'}, "
-          f"median of {max(1, args.reps)} interleaved rounds")
+          f"median of {args.reps} interleaved rounds")
     print(f"{'L':>8}{'seq ns/op':>14}")
     for length in lengths:
         print(f"{length:>8}{1e9 * times[length] / (length * scfg.d_inner):>14.1f}")
@@ -366,7 +378,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--lengths", default="1024,2048,4096,8192")
     p.add_argument("--d-inner", type=int, default=64)
     p.add_argument("--d-state", type=int, default=16)
-    p.add_argument("--expand", type=int, default=2)
     p.add_argument("--reps", type=int, default=5,
                    help="interleaved timing rounds; medians are reported")
     p.set_defaults(fn=cmd_bench)
@@ -376,13 +387,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 def _install_config_defaults(command: argparse.ArgumentParser, path) -> None:
     """Make the values of a --config file the defaults of the subcommand's
     options, so that flags given on the command line still win. Each value
-    is checked against its option's type and choices."""
+    is checked against its option's type and choices; a switch takes
+    ``true`` or ``false``."""
     options = {a.dest: a for a in command._actions if a.option_strings}
     defaults = {}
     for key, val in _parse_config_file(path).items():
         if key not in options:
             raise UsageError(f"config file sets unknown option {key!r}")
         action = options[key]
+        if action.nargs == 0:               # a switch such as --json
+            if val not in ("true", "false"):
+                raise UsageError(f"config value {key}={val!r}: a switch takes "
+                                 f"true or false")
+            defaults[key] = val == "true"
+            continue
         try:
             defaults[key] = action.type(val) if action.type else val
         except ValueError as exc:

@@ -7,6 +7,7 @@ coordinates), so results are fully deterministic.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from .model import Detection, decode_boxes
 from .tensor import Tensor, no_grad
@@ -131,8 +132,8 @@ def decode_predictions(raw_levels, strides, score_threshold: float = 0.25,
                 cls_l = cls_t.data[n]
                 obj_l = obj_t.data[n, 0]
                 boxes = decode_boxes(box_t.data[n:n + 1], stride)[0]
-                obj_s = 1.0 / (1.0 + np.exp(-obj_l))
-                cls_s = 1.0 / (1.0 + np.exp(-cls_l))
+                obj_s = expit(obj_l)
+                cls_s = expit(cls_l)
                 score = obj_s[None] * cls_s
                 ks, ys, xs = np.nonzero(score >= score_threshold)
                 for k, y, x in zip(ks, ys, xs):

@@ -266,14 +266,10 @@ class Tensor:
 
         return Tensor._node(out, (self,), lambda g: (g * _expit(d),))
 
-    def clamp(self, lo=None, hi=None):
+    def clamp(self, lo: float):
         d = self.data
-        out = np.clip(d, lo, hi)
-        mask = np.ones_like(d)
-        if lo is not None:
-            mask *= d >= lo
-        if hi is not None:
-            mask *= d <= hi
+        out = np.clip(d, lo, None)
+        mask = d >= lo
         return Tensor._node(out, (self,), lambda g: (g * mask,))
 
     # -- reductions ------------------------------------------------------
@@ -664,12 +660,6 @@ class Module:
     def __init__(self):
         self.training = True
         self._buffers: dict[str, np.ndarray] = {}
-
-    def __getattr__(self, name):
-        bufs = self.__dict__.get("_buffers")
-        if bufs is not None and name in bufs:
-            return bufs[name]
-        raise AttributeError(f"{type(self).__name__} has no attribute {name!r}")
 
     def register_buffer(self, name: str, arr: np.ndarray):
         self._buffers[name] = arr

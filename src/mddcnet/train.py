@@ -29,6 +29,8 @@ SIZE_ROUTING_THRESHOLDS = (32.0, 96.0)
 
 @dataclass
 class TrainConfig:
+    """The recipe of ``train_loop``: SGD schedule, batch and split sizes,
+    evaluation cadence, and the bound of the augmentation every step uses."""
     lr: float = 0.01
     lr_final: float = 1e-4
     momentum: float = 0.937
@@ -42,9 +44,9 @@ class TrainConfig:
     eval_every: int = 3
     # stop once val mAP@50 reaches this (None: always run all epochs)
     early_stop_map: float | None = None
-    # random horizontal flips and integer translations during training;
-    # roughly doubles final toy mAP@50 by closing the train/val box gap
-    augment: bool = True
+    # bound of the random integer translations (after a random horizontal
+    # flip) that augment every training scene; augmentation roughly doubles
+    # final toy mAP@50 by closing the train/val box gap
     translate_max: int = 8
 
     def __post_init__(self):
@@ -318,26 +320,20 @@ def augment_scene(img: np.ndarray, anns: list, rng: np.random.Generator,
 
 
 def train_loop(model: MddcNet, cfg: TrainConfig, *, log_path=None,
-               fixed_batch: list[SynthScene] | None = None,
                verbose: bool = False) -> list[dict]:
     """Seed-deterministic training; returns per-epoch metric records.
 
-    ``fixed_batch`` repeats one batch forever (the overfit sanity mode).
-    Metric records are also written to ``log_path`` as JSON lines.
+    Each epoch visits the train split in a fresh random order; every step
+    augments its scenes (``augment_scene``) and assigns targets to the
+    augmented views. Metric records are also written to ``log_path`` as
+    JSON lines.
     """
     rng = np.random.default_rng(cfg.seed)
     dtype = next(iter(model.parameters())).dtype
     base = 1_000_000 * (cfg.seed + 1)
-    if fixed_batch is None:
-        train_scenes = generate_split(base, cfg.train_scenes, cfg.input_size)
-        val_scenes = generate_split(base + cfg.train_scenes, cfg.val_scenes,
-                                    cfg.input_size)
-    else:
-        train_scenes, val_scenes = list(fixed_batch), []
-
-    images = np.stack([s.image for s in train_scenes]).astype(dtype)
-    targets = [assign_targets(s.annotations, cfg.input_size, model.cfg.strides)
-               for s in train_scenes]
+    train_scenes = generate_split(base, cfg.train_scenes, cfg.input_size)
+    val_scenes = generate_split(base + cfg.train_scenes, cfg.val_scenes,
+                                cfg.input_size)
 
     opt = Sgd(model.parameters(), cfg.momentum, cfg.clip_norm)
     steps_per_epoch = max(len(train_scenes) // cfg.batch, 1)
@@ -349,24 +345,18 @@ def train_loop(model: MddcNet, cfg: TrainConfig, *, log_path=None,
     try:
         for epoch in range(cfg.epochs):
             model.train()
-            order = rng.permutation(len(train_scenes)) if fixed_batch is None \
-                else np.arange(len(train_scenes))
+            order = rng.permutation(len(train_scenes))
             sums = {"total": 0.0, "obj": 0.0, "cls": 0.0, "iou": 0.0}
             for si in range(steps_per_epoch):
                 idx = order[si * cfg.batch:(si + 1) * cfg.batch]
-                if cfg.augment and fixed_batch is None:
-                    views = [augment_scene(train_scenes[i].image,
-                                           train_scenes[i].annotations,
-                                           rng, cfg.input_size,
-                                           cfg.translate_max)
-                             for i in idx]
-                    x = Tensor(np.stack([v[0] for v in views]).astype(dtype))
-                    batch_t = stack_targets(
-                        [assign_targets(v[1], cfg.input_size,
-                                        model.cfg.strides) for v in views])
-                else:
-                    x = Tensor(images[idx])
-                    batch_t = stack_targets([targets[i] for i in idx])
+                views = [augment_scene(train_scenes[i].image,
+                                       train_scenes[i].annotations, rng,
+                                       cfg.input_size, cfg.translate_max)
+                         for i in idx]
+                x = Tensor(np.stack([v[0] for v in views]).astype(dtype))
+                batch_t = stack_targets([assign_targets(v[1], cfg.input_size,
+                                                        model.cfg.strides)
+                                         for v in views])
                 preds = model(x)
                 losses = detection_loss(preds, batch_t, model.cfg.strides)
                 val = float(losses["total"].data)

@@ -150,6 +150,18 @@ def test_bad_stage_kinds_is_usage_error(capsys):
     assert code == 2 and "usage error" in err
 
 
+@pytest.mark.parametrize("worst, code", [(2e-4, 1), (1e-4, 0)])
+def test_gradcheck_exit_code_and_fail_lines(capsys, monkeypatch, worst, code):
+    monkeypatch.setattr("mddcnet.cli.block_gradcheck_suite",
+                        lambda seed: {"conv2d": 3e-7, "mamba_block": worst})
+    got, out, _ = run(capsys, "gradcheck", "--seed", "0")
+    assert got == code
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert ["mamba_block" in line for line in fails] == [True] * code
+    assert any(line.startswith("PASS") and "conv2d" in line
+               for line in out.splitlines())
+
+
 # -- train / infer ---------------------------------------------------------------
 
 def test_train_zero_epochs_writes_checkpoint(capsys, tmp_path):
@@ -305,12 +317,28 @@ def test_config_file_beats_builtin_default(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("line", ["seed = five", "precision = f16",
-                                  f"ffn = {DELETED_FFN_KIND}", "variant = xxl"])
+                                  f"ffn = {DELETED_FFN_KIND}", "variant = xxl",
+                                  "json = maybe"])
 def test_config_file_bad_value_is_usage_error(capsys, tmp_path, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
-    code, _, err = run(capsys, "report", "--config", str(cfg))
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
     assert code == 2 and "usage error" in err and line.split()[0] in err
+    assert not out
+
+
+@pytest.mark.parametrize("value", ["false", "true"])
+def test_config_file_switch_takes_true_or_false(capsys, tmp_path, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"json = {value}\n")
+    code, out, _ = run(capsys, "verify", "--filter", "eval.nms", "--seed", "0",
+                       "--config", str(cfg))
+    assert code == 0 and out
+    lines = out.splitlines()
+    if value == "true":
+        assert all(json.loads(line)["passed"] for line in lines)
+    else:
+        assert lines[0].startswith("PASS") and "checks passed" in lines[-1]
 
 
 # -- bench -----------------------------------------------------------------------
@@ -322,6 +350,16 @@ def test_bench_small_lengths_report_ratios(capsys):
     # tiny sizes may fall outside the linear band; only the format is checked
     assert code in (0, 1)
     assert "seq ns/op" in out and "64->128" in out.replace(" ", "")
+
+
+@pytest.mark.parametrize("flag, value", [("--lengths", "abc"), ("--lengths", "0"),
+                                         ("--d-state", "0"), ("--d-inner", "65"),
+                                         ("--reps", "0")])
+def test_bench_bad_flag_is_usage_error(capsys, flag, value):
+    # small sizes first, so that a flag that is not rejected still runs fast
+    code, out, err = run(capsys, "bench", "--lengths", "64,128", "--d-inner", "8",
+                         "--d-state", "2", "--reps", "1", "--seed", "0", flag, value)
+    assert code == 2 and "usage error" in err and flag in err and not out
 
 
 def test_threads_flag_pins_blas_and_is_read_back(capsys):

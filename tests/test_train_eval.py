@@ -10,7 +10,8 @@ from mddcnet.data import generate_scene, generate_split, NUM_CLASSES
 from mddcnet.train import (Sgd, TrainConfig, assign_targets, cosine_lr,
                            detection_loss, route_level, stack_targets,
                            train_loop, TrainDivergence)
-from mddcnet.eval import average_precision, box_iou, compute_map, nms
+from mddcnet.eval import (average_precision, box_iou, compute_map,
+                          decode_predictions, nms)
 from mddcnet.verify import CHECKS
 
 RNG = np.random.default_rng(8)
@@ -198,7 +199,7 @@ def test_train_divergence_raised_on_nan():
     next(iter(model.parameters())).data[:] = np.nan
     cfg = TrainConfig(epochs=1, train_scenes=8, val_scenes=0, eval_every=100)
     with pytest.raises(TrainDivergence):
-        train_loop(model, cfg, fixed_batch=generate_split(0, 8))
+        train_loop(model, cfg)
 
 
 # -- eval ---------------------------------------------------------------------
@@ -252,3 +253,17 @@ def test_map_penalizes_high_scored_false_positive():
 def test_map_alignment_check():
     with pytest.raises(ValueError):
         compute_map([[]], [[], []])
+
+
+@pytest.mark.parametrize("dtype, logit", [(np.float32, -100.0), (np.float64, -800.0)])
+def test_decode_predictions_saturates_without_overflow(dtype, logit):
+    """Cells with hugely negative objectness score 0, without overflowing exp."""
+    cls_t = Tensor(np.full((1, NUM_CLASSES, 2, 2), 4.0, dtype=dtype))
+    obj_t = Tensor(np.full((1, 1, 2, 2), logit, dtype=dtype))
+    obj_t.data[0, 0, 1, 1] = 4.0
+    box_t = Tensor(np.zeros((1, 4, 2, 2), dtype=dtype))
+    dets = decode_predictions([(cls_t, obj_t, box_t)], (8,), score_threshold=0.5)[0]
+    assert sorted(d.class_id for d in dets) == list(range(NUM_CLASSES))
+    for d in dets:
+        assert d.score == pytest.approx((1.0 / (1.0 + np.exp(-4.0))) ** 2, rel=1e-6)
+        assert d.box == pytest.approx((4.0, 4.0, 20.0, 20.0))   # center 12, side 16
