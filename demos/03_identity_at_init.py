@@ -13,7 +13,7 @@ import numpy as np
 
 from mddcnet.tensor import Tensor
 from mddcnet.ssm import MambaBlock, MambaBlockConfig
-from mddcnet.ffn_attn import Csca, make_ffn
+from mddcnet.ffn_attn import FFN_KINDS, NECK_ATTENTION_KINDS, Csca, make_ffn
 from mddcnet.model import MddcNet, variant_config
 
 rng = np.random.default_rng(2)
@@ -24,13 +24,13 @@ mamba = MambaBlock(MambaBlockConfig(d_model=8, d_state=4), rng)
 print("mamba block output at init is exactly zero:",
       bool(np.all(mamba(x_seq).data == 0.0)))
 
-for kind in ("vanilla", "ca", "gated_ca", "ce_ffn"):
+for kind in FFN_KINDS:
     y = make_ffn(kind, 8, rng)(x_map)
     print(f"{kind:>9} ffn(x) == 0 and x + ffn(x) == x bitwise:",
           bool(np.all(y.data == 0.0)
                and np.array_equal((x_map + y).data, x_map.data)))
 
-for kind in ("csca", "mlca", "concat"):
+for kind in NECK_ATTENTION_KINDS:
     att = Csca(8, rng, kind=kind)
     print(f"{kind:>9} att(x) == x bitwise:",
           bool(np.array_equal(att(x_map).data, x_map.data)))

@@ -257,8 +257,8 @@ def cmd_bench(args) -> int:
     if args.reps < 1:
         raise UsageError(f"--reps must be at least 1, got {args.reps}")
     rng = np.random.default_rng(args.seed)
-    # the timed scan depends on D_inner alone, so the block does not widen
-    scfg = MambaBlockConfig(d_model=args.d_inner, expand=1, d_state=args.d_state)
+    # the timed scan depends on D_inner alone
+    scfg = MambaBlockConfig(d_model=args.d_inner // 2, d_state=args.d_state)
     block = MambaBlock(scfg, rng)
     times, ratios = scan_scaling(block, lengths, args.reps, rng)
     print(f"selective scan, D_inner={scfg.d_inner}, S={args.d_state}, "

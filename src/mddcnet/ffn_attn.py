@@ -13,12 +13,16 @@ import numpy as np
 from .tensor import (Tensor, Module, Parameter, Conv2d, concat,
                      adaptive_avg_pool2d, upsample_nearest_to)
 
-__all__ = ["CeFfn", "VanillaFfn", "make_ffn", "FFN_KINDS",
-           "SpatialAttention", "Mlca", "ScaleCalibration", "Csca",
-           "NECK_ATTENTION_KINDS"]
+__all__ = ["CeFfn", "VanillaFfn", "make_ffn", "FFN_KINDS", "FFN_EXPANSION",
+           "SpatialAttention", "Mlca", "ScaleCalibration", "SC_POOL_SIZES",
+           "Csca", "NECK_ATTENTION_KINDS"]
 
-FFN_KINDS = ("vanilla", "ca", "gated_ca", "ce_ffn")
-NECK_ATTENTION_KINDS = ("concat", "mlca", "csca")
+FFN_KINDS = ("vanilla", "ce_ffn")
+NECK_ATTENTION_KINDS = ("concat", "csca")
+# hidden width of every FFN, as a multiple of its input channels
+FFN_EXPANSION = 1
+# pooled grid sizes of the scale-calibration gate
+SC_POOL_SIZES = (1, 2, 4)
 
 
 class CeFfn(Module):
@@ -29,46 +33,33 @@ class CeFfn(Module):
     F_global = sigmoid(Conv1x1(GAP(Y)))                  ([N,E,1,1])
     out      = Conv1x1(F_global + F_local)               (zero-init projection)
 
-    ``global_mode="mul"`` swaps the additive fusion for F_global * F_local
-    (channel recalibration reading). ``use_global=False`` drops the global
-    branch entirely (the channel-aggregation ablation). The residual around
-    the block belongs to the caller.
+    The residual around the block belongs to the caller.
     """
 
     def __init__(self, channels: int, rng: np.random.Generator, *,
-                 expansion: int = 4, use_global: bool = True,
-                 global_mode: str = "add", dtype=np.float64):
+                 expansion: int = FFN_EXPANSION, dtype=np.float64):
         super().__init__()
-        if global_mode not in ("add", "mul"):
-            raise ValueError(f"unknown global_mode {global_mode!r}")
         e = expansion * channels
-        self.use_global, self.global_mode = use_global, global_mode
         self.conv_in = Conv2d(channels, e, 1, rng=rng, dtype=dtype)
         self.dw = Conv2d(e, e, 3, padding=1, groups=e, rng=rng, dtype=dtype)
         self.local_conv = Conv2d(e, e, 1, rng=rng, dtype=dtype)
         self.r = Parameter(np.full(e, 1e-2, dtype=dtype))
-        if use_global:
-            self.global_conv = Conv2d(e, e, 1, rng=rng, dtype=dtype)
+        self.global_conv = Conv2d(e, e, 1, rng=rng, dtype=dtype)
         self.conv_out = Conv2d(e, channels, 1, zero_init=True, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         e = self.r.shape[0]
         y = self.dw(self.conv_in(x)).gelu()
         f_local = self.r.reshape(1, e, 1, 1) * (y - self.local_conv(y).gelu()) + y
-        if self.use_global:
-            f_global = self.global_conv(y.mean(axis=(2, 3), keepdims=True)).sigmoid()
-            fused = f_global * f_local if self.global_mode == "mul" \
-                else f_global + f_local
-        else:
-            fused = f_local
-        return self.conv_out(fused)
+        f_global = self.global_conv(y.mean(axis=(2, 3), keepdims=True)).sigmoid()
+        return self.conv_out(f_global + f_local)
 
 
 class VanillaFfn(Module):
     """Plain two-layer 1x1-conv FFN baseline."""
 
     def __init__(self, channels: int, rng: np.random.Generator, *,
-                 expansion: int = 4, dtype=np.float64):
+                 expansion: int = FFN_EXPANSION, dtype=np.float64):
         super().__init__()
         self.conv_in = Conv2d(channels, expansion * channels, 1, rng=rng, dtype=dtype)
         self.conv_out = Conv2d(expansion * channels, channels, 1,
@@ -79,20 +70,13 @@ class VanillaFfn(Module):
 
 
 def make_ffn(kind: str, channels: int, rng: np.random.Generator, *,
-             expansion: int = 4, dtype=np.float64) -> Module:
-    """FFN ablation family; every member outputs exactly zero at init
+             expansion: int = FFN_EXPANSION, dtype=np.float64) -> Module:
+    """The plain FFN baseline or CE-FFN; both output exactly zero at init
     (zero-init output projection), so the caller's residual is an identity."""
     if kind == "vanilla":
         return VanillaFfn(channels, rng, expansion=expansion, dtype=dtype)
-    if kind == "ca":
-        return CeFfn(channels, rng, expansion=expansion, use_global=False,
-                     dtype=dtype)
-    if kind == "gated_ca":
-        return CeFfn(channels, rng, expansion=expansion, global_mode="mul",
-                     dtype=dtype)
     if kind == "ce_ffn":
-        return CeFfn(channels, rng, expansion=expansion, global_mode="add",
-                     dtype=dtype)
+        return CeFfn(channels, rng, expansion=expansion, dtype=dtype)
     raise ValueError(f"unknown ffn kind {kind!r}; choose from {FFN_KINDS}")
 
 
@@ -144,7 +128,7 @@ class ScaleCalibration(Module):
     """Pyramid-pooled gate in (0,1): sigmoid of summed per-scale 1x1 convs."""
 
     def __init__(self, channels: int, rng: np.random.Generator, *,
-                 pool_sizes: tuple[int, ...] = (1, 2, 4), dtype=np.float64):
+                 pool_sizes: tuple[int, ...] = SC_POOL_SIZES, dtype=np.float64):
         super().__init__()
         self.pool_sizes = tuple(pool_sizes)
         for s in self.pool_sizes:
@@ -165,10 +149,8 @@ class Csca(Module):
     """Residual attention synergy: fuse(concat(SA(x), MLCA(x))) * SC(x) + x.
 
     The fuse conv is zero-initialized, so the module is a bit-exact identity
-    at init. ``kind`` selects the ablation family:
-      - "csca":   the full form above
-      - "mlca":   MLCA branch only, no gate (fuse maps C -> C)
-      - "concat": plain concat(x, x) through fuse, no gates
+    at init. ``kind="concat"`` is the plain-fusion baseline: concat(x, x)
+    through the same fuse conv, with no gates.
     """
 
     def __init__(self, channels: int, rng: np.random.Generator, *,
@@ -178,19 +160,15 @@ class Csca(Module):
             raise ValueError(f"unknown attention kind {kind!r}; "
                              f"choose from {NECK_ATTENTION_KINDS}")
         self.kind = kind
-        if kind in ("csca", "mlca"):
-            self.mlca = Mlca(dtype=dtype)
         if kind == "csca":
+            self.mlca = Mlca(dtype=dtype)
             self.sa = SpatialAttention(rng, dtype=dtype)
             self.sc = ScaleCalibration(channels, rng, dtype=dtype)
-        fuse_in = channels if kind == "mlca" else 2 * channels
-        self.fuse = Conv2d(fuse_in, channels, 1, zero_init=True, dtype=dtype)
+        self.fuse = Conv2d(2 * channels, channels, 1, zero_init=True, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         if self.kind == "csca":
             y = self.fuse(concat([self.sa(x), self.mlca(x)], axis=1)) * self.sc(x)
-        elif self.kind == "mlca":
-            y = self.fuse(self.mlca(x))
         else:
             y = self.fuse(concat([x, x], axis=1))
         return y + x

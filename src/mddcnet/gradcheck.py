@@ -92,8 +92,7 @@ def block_gradcheck_suite(seed: int = 0, h: float = 1e-4) -> dict[str, float]:
     report["msddc"] = _check_module(
         m, [(1, 2, 4, 4), (2, 2, 3, 5), (1, 2, 5, 3)], rng, h)
 
-    blk = MambaBlock(MambaBlockConfig(d_model=4, expand=2, d_state=2,
-                                      dt_rank=2), rng)
+    blk = MambaBlock(MambaBlockConfig(d_model=4, d_state=2, dt_rank=2), rng)
     _randomize(blk, rng, 0.2)
     report["mamba"] = _check_module(
         blk, [(1, 3, 4), (2, 5, 4), (1, 1, 4)], rng, h)

@@ -16,7 +16,8 @@ from .tensor import (Tensor, Module, Parameter, Conv2d, BatchNorm2d, concat,
                      bilinear_resize, upsample_nearest_to)
 from .msddc import Msddc, MsddcConfig
 from .ssm import MambaBlockConfig, MambaBlock2d
-from .ffn_attn import make_ffn, Csca, FFN_KINDS, NECK_ATTENTION_KINDS
+from .ffn_attn import (make_ffn, Csca, FFN_KINDS, FFN_EXPANSION,
+                       NECK_ATTENTION_KINDS, SC_POOL_SIZES)
 
 __all__ = ["VariantConfig", "variant_config", "VARIANT_NAMES", "MddcNet",
            "Detection", "PyramidFeatures", "count_params", "estimate_flops",
@@ -26,7 +27,6 @@ VARIANT_NAMES = ("n", "t", "b", "n-toy")
 STAGE_KINDS = ("msddc", "mamba")
 CLASS_NAMES = ("box", "disc", "triangle")
 NUM_CLASSES = len(CLASS_NAMES)
-FFN_EXPANSION = 1
 
 # published budget targets at 640x640: (params, flops)
 BUDGET_TARGETS = {"n": (4.8e6, 10.2e9), "t": (6.6e6, 12.9e9), "b": (18.0e6, 39.6e9)}
@@ -153,8 +153,7 @@ class Block(Module):
             self.mamba = MambaBlock2d(MambaBlockConfig(
                 d_model=channels, d_state=cfg.d_state), rng, dtype)
         self.norm2 = BatchNorm2d(channels, dtype=dtype)
-        self.ffn = make_ffn(cfg.ffn_kind, channels, rng,
-                            expansion=FFN_EXPANSION, dtype=dtype)
+        self.ffn = make_ffn(cfg.ffn_kind, channels, rng, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         mixer = self.msddc if self.kind == "msddc" else self.mamba
@@ -371,19 +370,15 @@ def _ffn_flops(c: int, h: int, w: int, cfg: VariantConfig) -> int:
         return total
     total += _cf(e, e, 3, h, w, groups=e)             # depthwise
     total += _cf(e, e, 1, h, w)                       # local conv
-    if cfg.ffn_kind in ("gated_ca", "ce_ffn"):
-        total += 2 * e * e                            # global conv on GAP
+    total += 2 * e * e                                # global conv on GAP
     return total
 
 
 def _att_flops(c: int, h: int, w: int, cfg: VariantConfig) -> int:
-    kind = cfg.neck_attention
-    if kind == "mlca":
-        return _cf(c, c, 1, h, w)
     total = _cf(c, 2 * c, 1, h, w)                    # fuse on 2C concat
-    if kind == "csca":
+    if cfg.neck_attention == "csca":
         total += _cf(1, 2, 7, h, w)                   # spatial attention
-        total += sum(2 * c * c * min(s, h) * min(s, w) for s in (1, 2, 4))
+        total += sum(2 * c * c * min(s, h) * min(s, w) for s in SC_POOL_SIZES)
     return total
 
 

@@ -31,18 +31,14 @@ CHUNK_ELEMENTS = 32768
 @dataclass
 class MambaBlockConfig:
     d_model: int
-    expand: int = 2
     d_state: int = 16
     # rank of the factored step-size projection; None: max(4, d_inner // 16)
     dt_rank: int | None = None
 
-    def __post_init__(self):
-        if self.d_inner % 2:
-            raise ValueError("d_inner must be even")
-
     @property
     def d_inner(self) -> int:
-        return self.d_model * self.expand
+        """Inner width: twice d_model, as in Mamba's reference block."""
+        return 2 * self.d_model
 
     def resolved_dt_rank(self) -> int:
         return self.dt_rank if self.dt_rank is not None else max(4, self.d_inner // 16)

@@ -16,7 +16,7 @@ from mddcnet.io import read_ppm, write_ppm, load_checkpoint, save_checkpoint
 from mddcnet.data import generate_scene
 
 
-# the deleted FFN kind that built the same model as "ca"
+# an FFN kind deleted earlier, which the CLI must keep rejecting
 DELETED_FFN_KIND = "residual" "_ca"
 
 
@@ -139,10 +139,19 @@ def test_report_unknown_variant_is_usage_error(capsys):
     assert exc.value.code == 2       # argparse rejects bad choices with 2
 
 
-def test_removed_ffn_kind_is_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["report", "--ffn", DELETED_FFN_KIND])
-    assert exc.value.code == 2
+def test_removed_ffn_kind_is_rejected(capsys, tmp_path):
+    removed = [("ffn", DELETED_FFN_KIND), ("ffn", "ca"), ("ffn", "gated_ca"),
+               ("neck_attn", "mlca")]
+    for key, kind in removed:
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--" + key.replace("_", "-"), kind])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {kind}\n")
+        code, out, err = run(capsys, "report", "--config", str(cfg))
+        assert code == 2 and "usage error" in err and kind in err
+        assert not out
 
 
 def test_bad_stage_kinds_is_usage_error(capsys):

@@ -32,8 +32,6 @@ def test_every_ffn_kind_is_identity_at_init(kind):
 def test_make_ffn_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_ffn("mlp", 4, RNG)
-    with pytest.raises(ValueError):
-        CeFfn(4, RNG, global_mode="concat")
 
 
 def test_ce_ffn_branch_shapes_and_nonidentity_after_nudge():
@@ -110,11 +108,8 @@ def test_csca_rejects_unknown_kind():
 def test_csca_submodule_presence_per_kind():
     full = Csca(4, RNG, kind="csca")
     assert hasattr(full, "sa") and hasattr(full, "mlca") and hasattr(full, "sc")
-    mlca_only = Csca(4, RNG, kind="mlca")
-    assert hasattr(mlca_only, "mlca") and not hasattr(mlca_only, "sa")
     plain = Csca(4, RNG, kind="concat")
     assert not hasattr(plain, "mlca") and not hasattr(plain, "sa")
-    # fuse input widths: 2C for concat variants, C for mlca-only
+    # both kinds fuse a 2C concat
     assert full.fuse.weight.shape[1] == 8
-    assert mlca_only.fuse.weight.shape[1] == 4
     assert plain.fuse.weight.shape[1] == 8
