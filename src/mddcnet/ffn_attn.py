@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (Tensor, Module, Parameter, Conv2d, concat,
+from .tensor import (Tensor, Module, Parameter, Conv2d, concat, conv3_seq,
                      adaptive_avg_pool2d, upsample_nearest_to)
 
 __all__ = ["CeFfn", "VanillaFfn", "make_ffn", "FFN_KINDS", "FFN_EXPANSION",
@@ -109,10 +109,7 @@ class Mlca(Module):
         self.mix_bias = Parameter(np.zeros(1, dtype=dtype))
 
     def _channel_mix(self, p: Tensor) -> Tensor:
-        padded = p.pad(((0, 0), (1, 1), (0, 0), (0, 0)))
-        w = self.mix_weight
-        return (padded[:, :-2] * w[0] + padded[:, 1:-1] * w[1]
-                + padded[:, 2:] * w[2] + self.mix_bias[0]).sigmoid()
+        return conv3_seq(p, self.mix_weight, self.mix_bias).sigmoid()
 
     def __call__(self, x: Tensor) -> Tensor:
         _, _, h, w = x.shape

@@ -3,9 +3,9 @@
 Continuous dynamics h' = A h + B u with diagonal negative-real A are
 discretized per token by a data-dependent step size (zero-order hold),
 then rolled out as the linear recurrence h_t = Ā_t h_{t-1} + B̄_t u_t.
-``selective_scan`` is one fused tape node that walks the sequence in chunks
-and recomputes each chunk's states in backward; ``selective_scan_ref``, the
-same scan composed from taped ops, is its oracle.
+``selective_scan`` is one fused tape node that walks the sequence in
+token-outer chunks and recomputes each chunk's states in backward;
+``selective_scan_ref``, the same scan composed from taped ops, is its oracle.
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (Tensor, Module, Parameter, Linear, concat, no_grad,
-                     scan_seq, flatten_hw, unflatten_hw, kaiming_uniform)
+                     conv3_seq, scan_seq, flatten_hw, unflatten_hw, kaiming_uniform)
 
 __all__ = ["MambaBlockConfig", "discretize_zoh", "selective_scan",
            "selective_scan_ref", "scan_scaling", "MambaBlock", "MambaBlock2d"]
 
 _SERIES_EPS = 1e-6
-# Elements of one [N, T, S, D] working array of the fused scan, which sets
+# Elements of one [T, N, S, D] working array of the fused scan, which sets
 # its chunk length T = CHUNK_ELEMENTS // (N·S·D): a chunk's ten or so live
 # arrays stay in cache, and backward keeps one [N, S, D] state per chunk.
 CHUNK_ELEMENTS = 32768
@@ -90,24 +90,32 @@ def _chunk_len(n: int, s: int, d: int) -> int:
 
 def _zoh_chunk(dd, at, inv_a, bd, ud, small, out):
     """Ā = e^{ΔA}, the B̄ factor bf = (e^{ΔA} − 1)/A (the Δ-series where
-    |Δ·A| < eps when ``small``), B·u and x = bf·B·u of one chunk, each
-    [N, T, S, D] and written into the four arrays ``out``, and the mask of
-    the series entries (None unless ``small``). ``at`` and ``inv_a`` are A
-    and 1/A as [S, D]."""
-    abar, bf, bu, x = (w[:, :dd.shape[1]] for w in out)
-    np.einsum("ntd,sd->ntsd", dd, at, out=abar)          # Δ·A
+    |Δ·A| < eps when ``small``), B·u and x = bf·B·u of one chunk of token-
+    major inputs ([T, N, ·]), each [T, N, S, D] and written into the four
+    arrays ``out``, and the mask of the series entries (None unless
+    ``small``). ``at`` and ``inv_a`` are A and 1/A as [S, D]."""
+    abar, bf, bu, x = (w[:len(dd)] for w in out)
+    # products with an [S, D] operand broadcast over (T, N) run faster as
+    # einsums than as np.multiply, which loops over (T, N, S) rows of D
+    np.einsum("tnd,sd->tnsd", dd, at, out=abar)          # Δ·A
     mask = None
     if small:
         mask = np.abs(abar) < _SERIES_EPS
         series = dd[:, :, None, :] * (1.0 + 0.5 * abar)
     np.expm1(abar, out=abar)
-    np.multiply(abar, inv_a, out=bf)
+    np.einsum("tnsd,sd->tnsd", abar, inv_a, out=bf)
     if small:
         np.copyto(bf, series, where=mask)
     abar += 1.0
-    np.einsum("nts,ntd->ntsd", bd, ud, out=bu)
+    np.einsum("tns,tnd->tnsd", bd, ud, out=bu)
     np.multiply(bf, bu, out=x)
     return abar, bf, bu, x, mask
+
+
+def _swap_leading(*arrays):
+    """Contiguous copies of 3-D arrays with their two leading axes swapped:
+    [N, L, ·] batch-major to [L, N, ·] token-major, and back."""
+    return [np.ascontiguousarray(x.transpose(1, 0, 2)) for x in arrays]
 
 
 def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
@@ -122,9 +130,12 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
     One tape node: the sequence is walked in chunks of
     CHUNK_ELEMENTS // (N·S·D) tokens (at least 1, at most L) and only the
     state at each chunk start is kept; backward recomputes a chunk's states
-    from it and runs the reverse recurrence per chunk. A chunk's working
-    arrays are [N, T, S, D], state-major, so the wide D is the contiguous
-    axis of every broadcast and every sum over S.
+    from it and runs the reverse recurrence per chunk. The inputs are read
+    token-major and a chunk's working arrays are [T, N, S, D], token-outer
+    and state-major: each step of the recurrence and each token's outer
+    product, readout and reduction works on one contiguous [N, S, D] slice,
+    and the wide D is the contiguous axis of every broadcast and every sum
+    over S.
     """
     ud, dd, ad, bd, cd, skd = (t.data for t in (u, delta, a, b, c, d_skip))
     if np.any(dd <= 0):
@@ -137,51 +148,54 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
     small = bool((dd * np.abs(ad).min(axis=1)).min() < _SERIES_EPS)
     tc = min(_chunk_len(n, s, d), l)
     chunks = [slice(t0, t0 + tc) for t0 in range(0, l, tc)]
+    ut, dt, bt, ct = _swap_leading(ud, dd, bd, cd)
     h_start = np.zeros((len(chunks), n, s, d), dtype=dtype)
-    y = np.empty((n, l, d), dtype=dtype)
-    work = np.empty((4, n, tc, s, d), dtype=dtype)
+    yt = np.empty((l, n, d), dtype=dtype)
+    work = np.empty((4, tc, n, s, d), dtype=dtype)
     for i, sl in enumerate(chunks):
-        abar, _, _, x, _ = _zoh_chunk(dd[:, sl], at, inv_a, bd[:, sl], ud[:, sl],
-                                      small, work)
+        abar, _, _, x, _ = _zoh_chunk(dt[sl], at, inv_a, bt[sl], ut[sl], small,
+                                      work)
         h = scan_seq(abar, x, h_start[i], out=x)
         if i + 1 < len(chunks):
-            h_start[i + 1] = h[:, -1]
-        y[:, sl] = (cd[:, sl, None, :] @ h)[:, :, 0]
+            h_start[i + 1] = h[-1]
+        yt[sl] = (ct[sl, :, None, :] @ h)[:, :, 0]
+    (y,) = _swap_leading(yt)
     y += ud * skd
 
     def back(g):
-        gu = g * skd
+        (gt,) = _swap_leading(g)
+        gu = gt * skd
         gdelta = np.empty_like(gu)
-        gb = np.empty((n, l, s), dtype=dtype)
-        gc = np.empty((n, l, s), dtype=dtype)
+        gb = np.empty((l, n, s), dtype=dtype)
+        gc = np.empty((l, n, s), dtype=dtype)
         ga_sum = np.zeros((s, d), dtype=dtype)     # A·dL/dA off the series
         ga_series = np.zeros((s, d), dtype=dtype)  # dL/dA of the series entries
         carry = np.zeros((n, s, d), dtype=dtype)   # Ā_{t+1}·q_{t+1} past the chunk
-        work = np.empty((7, n, tc, s, d), dtype=dtype)
+        work = np.empty((7, tc, n, s, d), dtype=dtype)
         ones_s = np.ones((1, s), dtype=dtype)
         for i in reversed(range(len(chunks))):
             sl = chunks[i]
-            dc, uc, gi, bc = dd[:, sl], ud[:, sl], g[:, sl], bd[:, sl]
+            dc, uc, gi, bc = dt[sl], ut[sl], gt[sl], bt[sl]
             abar, bf, bu, x, mask = _zoh_chunk(dc, at, inv_a, bc, uc, small,
                                              work[:4])
-            h, q, z = (w[:, :x.shape[1]] for w in work[4:])
+            h, q, z = (w[:len(x)] for w in work[4:])
             scan_seq(abar, x, h_start[i], out=h)
-            gc[:, sl] = (h @ gi[..., None])[..., 0]
+            gc[sl] = (h @ gi[..., None])[..., 0]
             # q_t = dL/dh_t = g_t·C_t + Ā_{t+1}·q_{t+1}; dL/dx_t = q_t
-            np.einsum("nts,ntd->ntsd", cd[:, sl], gi, out=q)
-            q[:, -1] += carry
-            scan_seq(abar[:, :0:-1], q[:, -2::-1], q[:, -1], out=q[:, -2::-1])
-            np.multiply(abar[:, 0], q[:, 0], out=carry)
+            np.einsum("tns,tnd->tnsd", ct[sl], gi, out=q)
+            q[-1] += carry
+            scan_seq(abar[:0:-1], q[-2::-1], q[-1], out=q[-2::-1])
+            np.multiply(abar[0], q[0], out=carry)
             # x = bf·B·u gives the gradients of u and B
             qbf = np.multiply(bf, q, out=bf)
-            gu[:, sl] += (bc[:, :, None, :] @ qbf)[:, :, 0]
-            gb[:, sl] = (qbf @ uc[..., None])[..., 0]
+            gu[sl] += (bc[:, :, None, :] @ qbf)[:, :, 0]
+            gb[sl] = (qbf @ uc[..., None])[..., 0]
             # ∂Ā/∂Δ = A·Ā and ∂bf/∂Δ = Ā, so dL/dΔ = Σ_s q·Ā·(A·h_{t-1} + B·u)
             # = Σ_s z with z = q·(A·h_t + B·u), as A·bf = Ā − 1
-            np.multiply(h, at, out=z)
+            np.einsum("tnsd,sd->tnsd", h, at, out=z)
             z += bu
             z *= q
-            gdelta[:, sl] = (ones_s @ z)[:, :, 0]
+            gdelta[sl] = (ones_s @ z)[:, :, 0]
             # dL/dA = Σ q·(Δ·Ā·h_{t-1} + B·u·∂bf/∂A) and A·∂bf/∂A = Δ·Ā − bf,
             # so A·dL/dA = Σ Δ·z − q·x
             if mask is not None:
@@ -192,10 +206,11 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
                 ga_series += np.where(mask, exact, 0.0).sum(axis=(0, 1))
                 z[mask] = 0.0
                 x[mask] = 0.0
-            ga_sum += np.einsum("ntsd,ntd->sd", z, dc)
-            ga_sum -= np.einsum("ntsd,ntsd->sd", q, x)
+            ga_sum += np.einsum("tnsd,tnd->sd", z, dc)
+            ga_sum -= np.einsum("tnsd,tnsd->sd", q, x)
         ga = np.ascontiguousarray((ga_sum * inv_a + ga_series).T)
         gskip = (g * ud).reshape(-1, d).sum(axis=0)
+        gu, gdelta, gb, gc = _swap_leading(gu, gdelta, gb, gc)
         return gu, gdelta, ga, gb, gc, gskip
 
     return Tensor._node(y, (u, delta, a, b, c, d_skip), back)
@@ -262,12 +277,6 @@ class MambaBlock(Module):
         self.dt_up.bias.data = np.log(np.expm1(dt0)).astype(dtype)
         self.out_proj = Linear(di, cfg.d_model, zero_init=True, dtype=dtype)
 
-    def _seq_conv(self, u: Tensor) -> Tensor:
-        up = u.pad(((0, 0), (1, 1), (0, 0)))
-        w = self.conv_weight
-        return (up[:, :-2] * w[0] + up[:, 1:-1] * w[1] + up[:, 2:] * w[2]
-                + self.conv_bias)
-
     def _scan_inputs(self, u: Tensor) -> tuple:
         """Arguments of ``selective_scan`` for the scan input ``u``."""
         a = -self.A_log.exp()
@@ -278,7 +287,7 @@ class MambaBlock(Module):
         di = self.cfg.d_inner
         proj = self.in_proj(x)
         u, gate = proj[:, :, :di], proj[:, :, di:]
-        u = self._seq_conv(u).silu()
+        u = conv3_seq(u, self.conv_weight, self.conv_bias).silu()
         y = selective_scan(*self._scan_inputs(u))
         return self.out_proj(y * gate.silu())
 

@@ -34,6 +34,7 @@ __all__ = [
     "upsample_nearest_to",
     "adaptive_avg_pool2d",
     "bilinear_resize",
+    "conv3_seq",
     "scan_seq",
 ]
 
@@ -261,9 +262,12 @@ class Tensor:
         return Tensor._node(out, (self,), back)
 
     def softplus(self):
+        """log(1 + e^x) as max(x, 0) + log1p(e^-|x|): the formula of
+        np.logaddexp(0, x) as whole-array ufuncs, several times faster than
+        logaddexp and silent on NaN."""
         d = self.data
-        out = np.logaddexp(0.0, d)
-
+        out = np.log1p(np.exp(-np.abs(d)))
+        out += np.maximum(d, 0.0)
         return Tensor._node(out, (self,), lambda g: (g * _expit(d),))
 
     def clamp(self, lo: float):
@@ -329,12 +333,6 @@ class Tensor:
         inv = tuple(np.argsort(axes))
         return Tensor._node(self.data.transpose(axes), (self,),
                             lambda g: (g.transpose(inv),))
-
-    def pad(self, pad_width):
-        """Zero padding; ``pad_width`` as for np.pad."""
-        out = np.pad(self.data, pad_width)
-        sl = tuple(slice(lo, lo + n) for (lo, _), n in zip(pad_width, self.shape))
-        return Tensor._node(out, (self,), lambda g: (g[sl],))
 
     def __getitem__(self, key):
         d = self.data
@@ -478,6 +476,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         return gx, gw, g.sum(axis=(0, 2, 3))
 
     return Tensor._node(out, parents, back)
+
+
+def conv3_seq(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Zero-padded width-3 cross-correlation along axis 1:
+    out[:, i] = x[:, i-1]·w[0] + x[:, i]·w[1] + x[:, i+1]·w[2] + b, with
+    x[:, -1] = x[:, L] = 0. Each tap w[k] and the bias b broadcast against
+    one slice x[:, i], so w is [3, D] for per-channel taps over [N, L, D]
+    and [3] for scalar ones. The terms add up in the order written, so the
+    result equals the zero-pad, slice and add composition bit for bit."""
+    xd, wd = x.data, w.data
+    out = xd * wd[1]
+    out[:, 1:] += xd[:, :-1] * wd[0]
+    out[:, :-1] += xd[:, 1:] * wd[2]
+    out += b.data
+
+    def back(g):
+        gx = g * wd[1]
+        gx[:, :-1] += g[:, 1:] * wd[0]
+        gx[:, 1:] += g[:, :-1] * wd[2]
+        tap = wd.shape[1:]
+        gw = np.stack([_unbroadcast(g[:, 1:] * xd[:, :-1], tap),
+                       _unbroadcast(g * xd, tap),
+                       _unbroadcast(g[:, :-1] * xd[:, 1:], tap)])
+        return gx, gw, _unbroadcast(g, b.shape)
+
+    return Tensor._node(out, (x, w, b), back)
 
 
 # -- normalization ------------------------------------------------------------
@@ -626,18 +650,18 @@ def bilinear_resize(x: Tensor, oh: int, ow: int) -> Tensor:
 
 def scan_seq(abar: np.ndarray, bu: np.ndarray, h0: np.ndarray | None = None,
              out: np.ndarray | None = None) -> np.ndarray:
-    """h_t = abar_t * h_{t-1} + bu_t along axis 1, starting from the state
+    """h_t = abar_t * h_{t-1} + bu_t along axis 0, starting from the state
     h0 (zero when None) before the first step, written to ``out`` (a new
     array when None; ``bu`` itself is allowed). Any strides work, so on
-    reversed views the recurrence runs from the last token to the first.
+    reversed views the recurrence runs from the last token to the first;
+    with the token axis outermost each step's slice is contiguous.
     Raw-array kernel."""
     h = np.empty_like(bu) if out is None else out
-    step_shape = bu.shape[:1] + bu.shape[2:]
-    acc = h0 if h0 is not None else np.zeros(step_shape, dtype=h.dtype)
-    prod = np.empty(step_shape, dtype=h.dtype)
-    for t in range(bu.shape[1]):
-        np.multiply(abar[:, t], acc, out=prod)
-        acc = np.add(prod, bu[:, t], out=h[:, t])
+    acc = h0 if h0 is not None else np.zeros(bu.shape[1:], dtype=h.dtype)
+    prod = np.empty(bu.shape[1:], dtype=h.dtype)
+    for t in range(len(bu)):
+        np.multiply(abar[t], acc, out=prod)
+        acc = np.add(prod, bu[t], out=h[t])
     return h
 
 

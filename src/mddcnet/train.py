@@ -227,12 +227,13 @@ class Sgd:
     def step(self, lr: float):
         grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
                  for p in self.params]
-        norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+        norm = float(np.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads)))
         scale = min(1.0, self.clip_norm / (norm + 1e-12))
         for p, v, g in zip(self.params, self.velocity, grads):
             v *= self.momentum
-            v += g * scale
-            p.data -= (lr * v).astype(p.dtype)
+            v += g if scale == 1.0 else g * scale
+            # lr·v is rounded to the parameter's dtype before it is subtracted
+            p.data -= np.multiply(lr, v, out=np.empty_like(p.data), casting="same_kind")
         return norm
 
 

@@ -84,6 +84,16 @@ def test_par_matches_seq(k, e):
     _assert_matches_ref(arrays, rng.standard_normal((2, length, 6)))
 
 
+def test_par_matches_seq_batch3_three_chunks():
+    # at N = 3 the token-outer chunk layout differs from a state-major one;
+    # L = 2T+3 spans three chunks
+    n, d, s = 3, 6, 3
+    length = 2 * _chunk_len(n, s, d) + 3
+    rng = np.random.default_rng(7)
+    arrays = _random_scan_arrays(n, length, d, s, rng)
+    _assert_matches_ref(arrays, rng.standard_normal((n, length, d)))
+
+
 def test_series_fallback_across_chunks():
     # A = -1e-9 at Δ = 0.1 puts every Δ·A of those states on the series path,
     # where the two contracted sums of the A gradient cancel to rounding
@@ -187,6 +197,25 @@ def test_block2d_matches_flattened_block():
     x = Tensor(RNG.standard_normal((2, 5, 3, 4)))
     ref = unflatten_hw(m2d.block(flatten_hw(x)), 3, 4)
     assert np.array_equal(m2d(x).data, ref.data)
+
+
+def _tape_nodes(out):
+    """Nodes recorded between ``out`` and the leaves it depends on."""
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t._backward is not None:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
+
+
+def test_block2d_tape_node_count():
+    # pinned: the width-3 conv and the scan record one node each, so a
+    # hand-composed op in the block shows up as extra nodes
+    m2d = MambaBlock2d(MambaBlockConfig(d_model=8, d_state=4), np.random.default_rng(2))
+    x = Tensor(RNG.standard_normal((2, 8, 4, 4)), requires_grad=True)
+    assert _tape_nodes(m2d(x)) == 22
 
 
 def test_param_paths_on_block():

@@ -8,7 +8,7 @@ import pytest
 
 from mddcnet.tensor import (Tensor, concat, conv2d, maximum, minimum,
                             adaptive_avg_pool2d,
-                            upsample_nearest_to, scan_seq,
+                            upsample_nearest_to, scan_seq, conv3_seq,
                             batch_norm, bilinear_resize, Conv2d, Linear,
                             BatchNorm2d, no_grad)
 from mddcnet.gradcheck import grad_check
@@ -139,6 +139,33 @@ def test_logistic_is_finite_and_matches_masked_form_at_extremes():
     assert np.max(np.abs(sig.data - masked)) <= 1e-15
     assert np.max(np.abs(sp.grad - masked)) <= 1e-15
     assert Tensor(d.astype(np.float32)).sigmoid().dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype, rel", [(np.float64, 4.5e-16), (np.float32, 3.6e-7)])
+def test_softplus_matches_logaddexp(dtype, rel):
+    # within 2 ulp of np.logaddexp(0, x), and exactly where either is zero
+    grid = np.concatenate([[-800.0, -30.0, -0.0, 0.0, 1e-300, 30.0, 800.0],
+                           np.linspace(-40.0, 40.0, 20001),
+                           RNG.standard_normal(20000) * 5.0]).astype(dtype)
+    ref = np.logaddexp(0.0, grid)
+    got = Tensor(grid).softplus().data
+    assert got.dtype == dtype
+    zero = (ref == 0.0) | (got == 0.0)
+    assert np.array_equal(got[zero], ref[zero])
+    assert np.max(np.abs(got[~zero] - ref[~zero]) / ref[~zero]) <= rel
+
+
+def test_softplus_non_finite_matches_logaddexp_without_warning():
+    d = np.array([np.nan, np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x = Tensor(d, requires_grad=True)
+        y = x.softplus()
+        y.sum().backward()
+    with np.errstate(invalid="ignore"):      # logaddexp itself warns on NaN
+        ref = np.logaddexp(0.0, d)
+    np.testing.assert_array_equal(y.data, ref)
+    np.testing.assert_array_equal(x.grad, [np.nan, 1.0, 0.0])
 
 
 def test_upsample_then_avgpool_is_identity():
@@ -319,27 +346,69 @@ def test_getitem_repeated_index_accumulates():
 def test_scan_par_matches_seq_raw():
     # chunks of the recurrence, each started from the state the previous
     # one ended in, reproduce the recurrence over the whole sequence
-    abar = RNG.uniform(0.2, 0.99, (2, 37, 3, 2))
-    bu = RNG.standard_normal((2, 37, 3, 2))
+    abar = RNG.uniform(0.2, 0.99, (37, 2, 3, 2))
+    bu = RNG.standard_normal((37, 2, 3, 2))
     for chunk in (1, 5, 16, 37):
         h = np.empty_like(bu)
         state = None
         for t0 in range(0, 37, chunk):
-            h[:, t0:t0 + chunk] = scan_seq(abar[:, t0:t0 + chunk],
-                                           bu[:, t0:t0 + chunk], state)
-            state = h[:, min(t0 + chunk, 37) - 1]
+            h[t0:t0 + chunk] = scan_seq(abar[t0:t0 + chunk], bu[t0:t0 + chunk],
+                                        state)
+            state = h[min(t0 + chunk, 37) - 1]
         assert np.array_equal(h, scan_seq(abar, bu))
     # on reversed views, started from the last token, it is the reverse
     # recurrence q_t += abar_{t+1}·q_{t+1} of the fused scan's backward
     for chunk in (1, 5, 37):
-        a, ref = abar[:, :chunk], bu[:, :chunk].copy()
+        a, ref = abar[:chunk], bu[:chunk].copy()
         for t in range(chunk - 2, -1, -1):
-            ref[:, t] += a[:, t + 1] * ref[:, t + 1]
-        q = bu[:, :chunk].copy()
-        rev = scan_seq(a[:, :0:-1], q[:, -2::-1], q[:, -1])
-        assert np.array_equal(rev, ref[:, -2::-1])
-        scan_seq(a[:, :0:-1], q[:, -2::-1], q[:, -1], out=q[:, -2::-1])
+            ref[t] += a[t + 1] * ref[t + 1]
+        q = bu[:chunk].copy()
+        rev = scan_seq(a[:0:-1], q[-2::-1], q[-1])
+        assert np.array_equal(rev, ref[-2::-1])
+        scan_seq(a[:0:-1], q[-2::-1], q[-1], out=q[-2::-1])
         assert np.array_equal(q, ref)
+
+
+def _conv3_composed(x, w, b):
+    """The width-3 sequence conv composed from taped ops: zero padding,
+    slices, products and adds: the reference for conv3_seq."""
+    zero = Tensor(np.zeros(x.shape[:1] + (1,) + x.shape[2:]))
+    xp = concat([zero, x, zero], axis=1)
+    return xp[:, :-2] * w[0] + xp[:, 1:-1] * w[1] + xp[:, 2:] * w[2] + b
+
+
+# per-channel taps over [N, L, D] (Mamba) and scalar taps over [N, C, H, W] (MLCA)
+CONV3_CASES = {"per_channel": ((2, 7, 5), (3, 5), (5,)),
+               "scalar": ((2, 6, 3, 4), (3,), (1,))}
+
+
+@pytest.mark.parametrize("xs, ws, bs", CONV3_CASES.values(), ids=CONV3_CASES)
+def test_conv3_seq_equals_composed_form(xs, ws, bs):
+    rng = np.random.default_rng(4)
+    x, w, b = (Tensor(rng.standard_normal(sh)) for sh in (xs, ws, bs))
+    assert np.array_equal(conv3_seq(x, w, b).data, _conv3_composed(x, w, b).data)
+
+
+@pytest.mark.parametrize("xs, ws, bs", CONV3_CASES.values(), ids=CONV3_CASES)
+def test_conv3_seq_gradients(xs, ws, bs):
+    rng = np.random.default_rng(5)
+    x, w, b = (Tensor(rng.standard_normal(sh), requires_grad=True)
+               for sh in (xs, ws, bs))
+    coeff = rng.standard_normal(xs)
+    rep = grad_check(lambda: (conv3_seq(x, w, b) * coeff).sum(),
+                     [("x", x), ("w", w), ("b", b)])
+    assert max(rep.values()) < 1e-6
+
+
+@pytest.mark.parametrize("xs, ws, bs", CONV3_CASES.values(), ids=CONV3_CASES)
+def test_conv3_seq_keeps_float32(xs, ws, bs):
+    rng = np.random.default_rng(6)
+    x, w, b = (Tensor(rng.standard_normal(sh).astype(np.float32), requires_grad=True)
+               for sh in (xs, ws, bs))
+    y = conv3_seq(x, w, b)
+    y.sum().backward()
+    assert y.dtype == np.float32
+    assert [t.grad.dtype for t in (x, w, b)] == [np.float32] * 3
 
 
 def test_batch_norm_normalizes_and_tracks_stats():

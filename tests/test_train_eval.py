@@ -177,6 +177,37 @@ def test_sgd_momentum_accumulates():
     assert abs(p.data[0] + 0.25) < 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("clip_norm", [1.0, 1e9], ids=["clipped", "unclipped"])
+def test_sgd_step_matches_formula(dtype, clip_norm):
+    rng = np.random.default_rng(12)
+    params = [Tensor(rng.standard_normal(sh).astype(dtype), requires_grad=True)
+              for sh in ((3, 4), (5,), (2, 2, 3))]
+    opt = Sgd(params, momentum=0.9, clip_norm=clip_norm)
+    v0 = [rng.standard_normal(p.shape).astype(dtype) for p in params]
+    for v, v_init in zip(opt.velocity, v0):
+        v[...] = v_init
+    grads = [rng.standard_normal(p.shape).astype(dtype) for p in params]
+    for p, g in zip(params, grads):
+        p.grad = g
+    p0 = [p.data.copy() for p in params]
+    lr = cosine_lr(1, 6, 0.01, 1e-4)               # a numpy float64
+    norm = opt.step(lr)
+    # the norm as sqrt of the summed squares of every gradient, each array's
+    # sum taken in its own dtype (so f32 agrees to f32 rounding only)
+    ref_norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+    tol = 1e-12 if dtype == np.float64 else 1e-6
+    assert abs(norm - ref_norm) <= tol * ref_norm
+    scale = min(1.0, clip_norm / (norm + 1e-12))
+    assert (scale < 1.0) == (clip_norm == 1.0)
+    for p, v, v_init, g, p_init in zip(params, opt.velocity, v0, grads, p0):
+        v_ref = v_init * dtype(0.9) + g * scale
+        assert p.dtype == v.dtype == dtype
+        assert np.array_equal(v, v_ref)
+        # lr·v in float64, rounded to the parameter dtype, then subtracted
+        assert np.array_equal(p.data, p_init - (lr * v_ref).astype(dtype))
+
+
 def test_cosine_schedule_endpoints():
     assert abs(cosine_lr(0, 100, 0.1, 0.001) - 0.1) < 1e-12
     assert abs(cosine_lr(99, 100, 0.1, 0.001) - 0.001) < 1e-12
@@ -191,9 +222,9 @@ def test_train_config_validation():
         TrainConfig(batch=0)
 
 
-# NaN parameters make deform_dilated_conv cast NaN sample coordinates to int
-# and softplus take logaddexp of NaN; both warn before the loss check raises
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# NaN parameters make deform_dilated_conv cast NaN sample coordinates to int,
+# which warns before the loss check raises
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 def test_train_divergence_raised_on_nan():
     model = MddcNet(variant_config("n-toy"), np.random.default_rng(0))
     next(iter(model.parameters())).data[:] = np.nan
