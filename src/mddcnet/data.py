@@ -86,7 +86,7 @@ def generate_scene(seed: int, size: int = 64) -> SynthScene:
         img = np.where(mask[None], color[:, None, None], img)
         annotations.append((cls, box))
 
-    img = np.clip(img, 0.0, 1.0).astype(np.float64)
+    img = np.clip(img, 0.0, 1.0).astype(np.float64, copy=False)
     return SynthScene(image=img, annotations=annotations, seed=seed)
 
 

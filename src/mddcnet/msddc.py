@@ -45,6 +45,7 @@ def bilinear_sample(x: Tensor, py, px, n: int, c: int) -> Tensor:
     py = py if isinstance(py, Tensor) else Tensor(float(py))
     px = px if isinstance(px, Tensor) else Tensor(float(px))
     _, _, h, w = x.shape
+    sy, sx = py.shape, px.shape
     pyv, pxv = py.data.item(), px.data.item()
     y0, x0 = int(np.floor(pyv)), int(np.floor(pxv))
     wy, wx = pyv - y0, pxv - x0
@@ -69,7 +70,7 @@ def bilinear_sample(x: Tensor, py, px, n: int, c: int) -> Tensor:
                 gx[n, c, yi, xi] += gs * wgt
         gpy = gs * ((v10 - v00) * (1 - wx) + (v11 - v01) * wx)
         gpx = gs * ((v01 - v00) * (1 - wy) + (v11 - v10) * wy)
-        return gx, np.full(py.shape, gpy), np.full(px.shape, gpx)
+        return gx, np.full(sy, gpy), np.full(sx, gpx)
 
     return Tensor._node(np.asarray(val), (x, py, px), back)
 
@@ -129,25 +130,26 @@ def deform_dilated_conv(x: Tensor, offsets: Tensor, weight: Tensor,
     if bias is not None:
         out = out + bias.data.reshape(1, co, 1, 1)
     parents = [x, offsets, weight] + ([bias] if bias is not None else [])
+    has_bias, off_dtype = bias is not None, od.dtype
 
     def back(g):
         gcl = g.transpose(0, 2, 3, 1).reshape(n * hw, co)
         gy = (p.T @ gcl).reshape(n, hw, 9 * co)
-        gx = np.matmul(w9.T, gy.transpose(0, 2, 1)).reshape(x.shape)
+        gx = np.matmul(w9.T, gy.transpose(0, 2, 1)).reshape(n, c, h, w)
         gw = np.matmul(xf, gy).sum(axis=0).reshape(c, 9, co).transpose(2, 0, 1)
         # offsets: per nonzero of P, a = gcl[pixel]·Y[column]; the derivatives
         # of the corner weights combine a into d/dpy and d/dpx per (pixel, tap)
         a = np.matmul(np.take(y, p.indices, axis=0).reshape(n * hw, 36, co),
                       gcl[:, :, None]).reshape(n, h, w, 9, 4)
         a00, a01, a10, a11 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-        goff = np.empty_like(od)
+        goff = np.empty((n, 18, h, w), dtype=off_dtype)
         goff[:, 0::2] = (vy1 * (fx0 * a10 + fx1 * a11)
                          - vy0 * (fx0 * a00 + fx1 * a01)).transpose(0, 3, 1, 2)
         goff[:, 1::2] = (vx1 * (fy0 * a01 + fy1 * a11)
                          - vx0 * (fy0 * a00 + fy1 * a10)).transpose(0, 3, 1, 2)
 
-        grads = [gx, goff, gw.reshape(weight.shape)]
-        if bias is not None:
+        grads = [gx, goff, gw.reshape(co, c, 3, 3)]
+        if has_bias:
             grads.append(g.sum(axis=(0, 2, 3)))
         return tuple(grads)
 

@@ -4,6 +4,13 @@ Values are numpy arrays (float64 for verification, float32 for speed).
 Every operation records a tape node eagerly; ``Tensor.backward`` replays
 the tape in reverse topological order. Tensors produced by an op are
 treated as immutable.
+
+The tape is kept apart from the data: a node holds only its parents' nodes
+and its backward closure, and every closure captures arrays and shapes,
+never a Tensor. So the tape holds just the arrays some closure reads; an op
+output no closure reads is freed as soon as the forward code drops it.
+``backward()`` consumes its graph, freeing each node's arrays once the node
+has run; a second backward through the same graph raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -73,8 +80,34 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _consumed(g):
+    raise RuntimeError("backward() through a graph that an earlier backward() "
+                       "consumed; run the forward again")
+
+
+class _GradNode:
+    """One tape record: the grad nodes of the op's parents (None for a parent
+    that needs no gradient) and the backward closure, which maps the output's
+    gradient to one gradient (or None) per parent. A leaf tensor that
+    requires a gradient is its own grad node and receives ``.grad``."""
+
+    __slots__ = ("parents", "backward")
+
+    def __init__(self, parents: tuple, backward):
+        self.parents = parents
+        self.backward = backward
+
+    @property
+    def _parents(self) -> tuple:
+        return tuple(p for p in self.parents if p is not None)
+
+    @property
+    def _backward(self):
+        return self.backward
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_grad_node")
 
     # make ndarray <op> Tensor defer to our reflected operators
     __array_ufunc__ = None
@@ -87,8 +120,7 @@ class Tensor:
             self.data = self.data.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple = ()
-        self._backward = None
+        self._grad_node: _GradNode | None = None
 
     # -- introspection -------------------------------------------------
 
@@ -119,25 +151,48 @@ class Tensor:
     @staticmethod
     def _node(data, parents, backward):
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+        if _grad_enabled:
+            nodes = tuple((p._grad_node or p) if p.requires_grad else None
+                          for p in parents)
+            if any(n is not None for n in nodes):
+                out.requires_grad = True
+                out._grad_node = _GradNode(nodes, backward)
         return out
+
+    @property
+    def _parents(self) -> tuple:
+        """The grad nodes of the parents that need a gradient."""
+        node = self._grad_node
+        return () if node is None else node._parents
+
+    @property
+    def _backward(self):
+        """The backward closure of the op that produced this tensor (None
+        for a leaf); assignable, so a wrapper can stand in for it."""
+        node = self._grad_node
+        return None if node is None else node.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._grad_node.backward = fn
 
     def backward(self):
         """Reverse-mode accumulation from a scalar loss.
 
         Gradients of leaf tensors (parameters, inputs) accumulate into
-        ``.grad``; intermediate gradients are kept only while needed.
+        ``.grad``; intermediate gradients are kept only while needed. The
+        graph is consumed: each node's closure and parent links are dropped
+        once it has run, so the arrays it read are freed during the walk,
+        and another backward() through any of its nodes raises RuntimeError.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that is detached from the tape")
         if self.size != 1:
             raise RuntimeError("backward() requires a scalar loss")
-        topo: list[Tensor] = []
+        root = self._grad_node or self
+        topo: list = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[object, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -148,24 +203,26 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
+                if id(p) not in visited:
                     stack.append((p, False))
 
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        grads: dict[int, np.ndarray] = {id(root): np.ones_like(self.data)}
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node._backward is None:
+            if isinstance(node, Tensor):
                 # leaf: accumulate into .grad
                 if node.grad is None:
                     node.grad = g.copy()
                 else:
                     node.grad = node.grad + g
                 continue
-            parent_grads = node._backward(g)
-            for p, pg in zip(node._parents, parent_grads):
-                if pg is None or not p.requires_grad:
+            parent_grads = node.backward(g)
+            parents, node.parents, node.backward = node.parents, (), _consumed
+            for p, pg in zip(parents, parent_grads):
+                if pg is None or p is None:
                     continue
                 if id(p) in grads:
                     grads[id(p)] = grads[id(p)] + pg
@@ -182,10 +239,10 @@ class Tensor:
         if isinstance(other, (int, float)):
             return Tensor._node(self.data + other, (self,), lambda g: (g,))
         a, b = self, Tensor._coerce(other)
-        out = a.data + b.data
+        sa, sb = a.shape, b.shape
         return Tensor._node(
-            out, (a, b),
-            lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+            a.data + b.data, (a, b),
+            lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
     __radd__ = __add__
 
@@ -196,9 +253,10 @@ class Tensor:
         if isinstance(other, (int, float)):
             return Tensor._node(self.data - other, (self,), lambda g: (g,))
         a, b = self, Tensor._coerce(other)
+        sa, sb = a.shape, b.shape
         return Tensor._node(
             a.data - b.data, (a, b),
-            lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+            lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -210,7 +268,7 @@ class Tensor:
         ad, bd = a.data, b.data
         return Tensor._node(
             ad * bd, (a, b),
-            lambda g: (_unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)))
+            lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)))
 
     __rmul__ = __mul__
 
@@ -221,10 +279,11 @@ class Tensor:
         a, b = self, Tensor._coerce(other)
         ad, bd = a.data, b.data
         out = ad / bd
+        sa = ad.shape
         return Tensor._node(
             out, (a, b),
-            lambda g: (_unbroadcast(g / bd, a.shape),
-                       _unbroadcast(-g * out / bd, b.shape)))
+            lambda g: (_unbroadcast(g / bd, sa),
+                       _unbroadcast(-g * out / bd, bd.shape)))
 
     def __rtruediv__(self, other):
         return Tensor._coerce(other) / self
@@ -390,18 +449,20 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; ties route the gradient to ``a``."""
     ad, bd = a.data, b.data
+    sa, sb = ad.shape, bd.shape
     mask = ad >= bd
     return Tensor._node(
         np.where(mask, ad, bd), (a, b),
-        lambda g: (_unbroadcast(g * mask, a.shape), _unbroadcast(g * ~mask, b.shape)))
+        lambda g: (_unbroadcast(g * mask, sa), _unbroadcast(g * ~mask, sb)))
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
+    sa, sb = ad.shape, bd.shape
     mask = ad <= bd
     return Tensor._node(
         np.where(mask, ad, bd), (a, b),
-        lambda g: (_unbroadcast(g * mask, a.shape), _unbroadcast(g * ~mask, b.shape)))
+        lambda g: (_unbroadcast(g * mask, sa), _unbroadcast(g * ~mask, sb)))
 
 
 # -- image <-> token layout -------------------------------------------------
@@ -456,10 +517,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         out += bias.data.reshape(1, co, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    wshape, has_bias = weight.shape, bias is not None
 
     def back(g):
         gg = g.reshape(n, groups, co // groups, oh * ow)
-        gw = np.matmul(gg, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.shape)
+        gw = np.matmul(gg, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(wshape)
         gcols = np.matmul(w2.transpose(0, 2, 1)[None], gg)
         gcols = gcols.reshape(n, c, kh, kw, oh, ow)
         hp, wp = h + 2 * padding, w + 2 * padding
@@ -471,9 +533,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
                 gxp[:, :, hi:hi + oh * stride:stride,
                     wj:wj + ow * stride:stride] += gcols[:, :, i, j]
         gx = gxp[:, :, padding:padding + h, padding:padding + w] if padding else gxp
-        if bias is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        if has_bias:
+            return gx, gw, g.sum(axis=(0, 2, 3))
+        return gx, gw
 
     return Tensor._node(out, parents, back)
 
@@ -485,7 +547,7 @@ def conv3_seq(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     one slice x[:, i], so w is [3, D] for per-channel taps over [N, L, D]
     and [3] for scalar ones. The terms add up in the order written, so the
     result equals the zero-pad, slice and add composition bit for bit."""
-    xd, wd = x.data, w.data
+    xd, wd, bshape = x.data, w.data, b.shape
     out = xd * wd[1]
     out[:, 1:] += xd[:, :-1] * wd[0]
     out[:, :-1] += xd[:, 1:] * wd[2]
@@ -499,7 +561,7 @@ def conv3_seq(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gw = np.stack([_unbroadcast(g[:, 1:] * xd[:, :-1], tap),
                        _unbroadcast(g * xd, tap),
                        _unbroadcast(g[:, :-1] * xd[:, 1:], tap)])
-        return gx, gw, _unbroadcast(g, b.shape)
+        return gx, gw, _unbroadcast(g, bshape)
 
     return Tensor._node(out, (x, w, b), back)
 
@@ -528,12 +590,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         var = running_var
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xd - mu.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-    out = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
+    gd = gamma.data.reshape(1, c, 1, 1)
+    out = gd * xhat + beta.data.reshape(1, c, 1, 1)
 
     def back(g):
         ggamma = (g * xhat).sum(axis=(0, 2, 3))
         gbeta = g.sum(axis=(0, 2, 3))
-        gi = gamma.data.reshape(1, c, 1, 1) * inv.reshape(1, c, 1, 1)
+        gi = gd * inv.reshape(1, c, 1, 1)
         if training:
             m = n * h * w
             gsum = g.sum(axis=(0, 2, 3), keepdims=True)
@@ -762,7 +825,7 @@ class Module:
 
 def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=np.float64):
     bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape).astype(dtype, copy=False)
 
 
 class Conv2d(Module):

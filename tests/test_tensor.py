@@ -2,6 +2,7 @@
 against central differences."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -435,6 +436,61 @@ def test_no_grad_blocks_taping():
     with no_grad():
         y = (x * 2.0).sum()
     assert not y.requires_grad
+
+
+def test_second_backward_through_consumed_graph_raises():
+    x = Tensor(RNG.standard_normal(4), requires_grad=True)
+    h = x.exp()
+    loss = (h * h).sum()
+    loss.backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
+    # a fresh root that reaches the consumed part raises too, rather than
+    # stopping at the consumed nodes as if they were leaves
+    with pytest.raises(RuntimeError, match="consumed"):
+        (h * 2.0).sum().backward()
+    assert np.array_equal(x.grad, 2.0 * np.exp(x.data) ** 2)
+
+
+def test_backward_calls_the_assigned_backward():
+    # a wrapper assigned to out._backward is what backward() runs
+    x = Tensor(RNG.standard_normal(3), requires_grad=True)
+    out = x * 3.0
+    orig, seen = out._backward, []
+
+    def wrapper(g):
+        seen.append(g.copy())
+        return orig(g)
+
+    out._backward = wrapper
+    assert out._backward is wrapper
+    out.sum().backward()
+    assert len(seen) == 1 and np.array_equal(seen[0], np.ones(3))
+    assert np.array_equal(x.grad, np.full(3, 3.0))
+
+
+def test_conv_output_feeding_batch_norm_is_freed_when_dropped():
+    x = Tensor(RNG.standard_normal((2, 3, 6, 6)), requires_grad=True)
+    conv, bn = Conv2d(3, 4, 3, padding=1, rng=RNG), BatchNorm2d(4)
+    y = conv(x)
+    ref = weakref.ref(y.data)
+    z = bn(y)
+    del y
+    assert ref() is None
+    z.sum().backward()
+    assert conv.weight.grad is not None and x.grad.shape == x.shape
+
+
+def test_arrays_a_closure_read_are_freed_after_backward():
+    x = Tensor(RNG.standard_normal(5), requires_grad=True)
+    y = (x * 2.0).gelu()
+    refs = [weakref.ref(c.cell_contents) for c in y._backward.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    loss = y.sum()
+    del y
+    assert len(refs) == 2 and all(r() is not None for r in refs)
+    loss.backward()
+    assert all(r() is None for r in refs)
 
 
 def test_item_reads_any_size_one_tensor():

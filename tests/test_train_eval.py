@@ -1,6 +1,8 @@
 """Target assignment, loss, optimizer, NMS/mAP scoring, and the data
 generator's determinism."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,61 @@ def test_train_config_validation():
         TrainConfig(lr=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(batch=0)
+
+
+# -- tape ---------------------------------------------------------------------
+
+def _n_toy_loss(model, n_scenes=2):
+    scenes = generate_split(0, n_scenes)
+    x = Tensor(np.stack([s.image for s in scenes]))
+    targets = stack_targets([assign_targets(s.annotations, 64) for s in scenes])
+    return detection_loss(model(x), targets)["total"]
+
+
+def _holds_tensor(value, depth=0):
+    if isinstance(value, Tensor):
+        return True
+    if depth < 2 and isinstance(value, (tuple, list)):
+        return any(_holds_tensor(v, depth + 1) for v in value)
+    if depth < 2 and isinstance(value, dict):
+        return any(_holds_tensor(v, depth + 1) for v in value.values())
+    return False
+
+
+def test_tape_closures_capture_no_tensor():
+    # closures keep arrays and shapes only, so no op output stays reachable
+    # from the tape just because a closure read its shape or parameter
+    model = MddcNet(variant_config("n-toy"), np.random.default_rng(0))
+    seen, stack, ops = set(), [_n_toy_loss(model)], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        fn = node._backward
+        cells = [c.cell_contents for c in fn.__closure__ or ()]
+        assert not any(_holds_tensor(v) for v in cells), fn.__qualname__
+        ops += 1
+        stack.extend(node._parents)
+    assert ops > 100
+
+
+def test_training_frees_its_tape_by_reference_counting():
+    # a closure that captured its own output, or any other reference cycle
+    # on the tape, would leave garbage only the cycle collector can free.
+    # backward() breaks such a cycle as it consumes the node, so a taped
+    # forward is also dropped without a backward
+    model = MddcNet(variant_config("n-toy"), np.random.default_rng(0))
+    cfg = TrainConfig(epochs=1, train_scenes=16, val_scenes=0, eval_every=100)
+    gc.collect()
+    gc.disable()
+    try:
+        train_loop(model, cfg)        # two steps of batch 8
+        _n_toy_loss(model)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 # NaN parameters make deform_dilated_conv cast NaN sample coordinates to int,
