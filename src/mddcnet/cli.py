@@ -110,8 +110,8 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = _build_variant(args)
-    model = MddcNet(cfg, np.random.default_rng(args.seed),
-                    dtype=_PRECISIONS[args.precision])
+    model = MddcNet(cfg, np.random.default_rng(args.seed)).astype(
+        _PRECISIONS[args.precision])
     params = count_params(model)
     flops = estimate_flops(cfg, input_size=640)
     print(f"variant {cfg.name}: dims {cfg.embed_dims}, depths {cfg.depths}, "
@@ -148,7 +148,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_train(args) -> int:
     cfg = _build_variant(args)
     dtype = _PRECISIONS[args.precision]
-    model = MddcNet(cfg, np.random.default_rng(args.seed), dtype=dtype)
+    model = MddcNet(cfg, np.random.default_rng(args.seed)).astype(dtype)
     tcfg = TrainConfig(epochs=args.epochs, batch=args.batch, lr=args.lr,
                        seed=args.seed, input_size=args.input_size,
                        train_scenes=args.train_scenes,
@@ -206,7 +206,7 @@ _BOX_COLORS = ((1.0, 0.2, 0.2), (0.2, 1.0, 0.2), (0.3, 0.5, 1.0))
 def cmd_infer(args) -> int:
     cfg = _build_variant(args)
     dtype = _PRECISIONS[args.precision]
-    model = MddcNet(cfg, np.random.default_rng(args.seed), dtype=dtype)
+    model = MddcNet(cfg, np.random.default_rng(args.seed)).astype(dtype)
     if args.checkpoint:
         state = mio.load_checkpoint(args.checkpoint)
         try:

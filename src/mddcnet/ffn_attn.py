@@ -14,8 +14,8 @@ from .tensor import (Tensor, Module, Parameter, Conv2d, concat, conv3_seq,
                      adaptive_avg_pool2d, upsample_nearest_to)
 
 __all__ = ["CeFfn", "VanillaFfn", "make_ffn", "FFN_KINDS", "FFN_EXPANSION",
-           "SpatialAttention", "Mlca", "ScaleCalibration", "SC_POOL_SIZES",
-           "Csca", "NECK_ATTENTION_KINDS"]
+           "SpatialAttention", "Mlca", "MLCA_BETA", "ScaleCalibration",
+           "SC_POOL_SIZES", "Csca", "NECK_ATTENTION_KINDS"]
 
 FFN_KINDS = ("vanilla", "ce_ffn")
 NECK_ATTENTION_KINDS = ("concat", "csca")
@@ -23,6 +23,8 @@ NECK_ATTENTION_KINDS = ("concat", "csca")
 FFN_EXPANSION = 1
 # pooled grid sizes of the scale-calibration gate
 SC_POOL_SIZES = (1, 2, 4)
+# weight of MLCA's global gate; the local gate gets 1 - MLCA_BETA
+MLCA_BETA = 0.5
 
 
 class CeFfn(Module):
@@ -37,15 +39,15 @@ class CeFfn(Module):
     """
 
     def __init__(self, channels: int, rng: np.random.Generator, *,
-                 expansion: int = FFN_EXPANSION, dtype=np.float64):
+                 expansion: int = FFN_EXPANSION):
         super().__init__()
         e = expansion * channels
-        self.conv_in = Conv2d(channels, e, 1, rng=rng, dtype=dtype)
-        self.dw = Conv2d(e, e, 3, padding=1, groups=e, rng=rng, dtype=dtype)
-        self.local_conv = Conv2d(e, e, 1, rng=rng, dtype=dtype)
-        self.r = Parameter(np.full(e, 1e-2, dtype=dtype))
-        self.global_conv = Conv2d(e, e, 1, rng=rng, dtype=dtype)
-        self.conv_out = Conv2d(e, channels, 1, zero_init=True, dtype=dtype)
+        self.conv_in = Conv2d(channels, e, 1, rng=rng)
+        self.dw = Conv2d(e, e, 3, padding=1, groups=e, rng=rng)
+        self.local_conv = Conv2d(e, e, 1, rng=rng)
+        self.r = Parameter(np.full(e, 1e-2))
+        self.global_conv = Conv2d(e, e, 1, rng=rng)
+        self.conv_out = Conv2d(e, channels, 1, zero_init=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         e = self.r.shape[0]
@@ -59,33 +61,32 @@ class VanillaFfn(Module):
     """Plain two-layer 1x1-conv FFN baseline."""
 
     def __init__(self, channels: int, rng: np.random.Generator, *,
-                 expansion: int = FFN_EXPANSION, dtype=np.float64):
+                 expansion: int = FFN_EXPANSION):
         super().__init__()
-        self.conv_in = Conv2d(channels, expansion * channels, 1, rng=rng, dtype=dtype)
-        self.conv_out = Conv2d(expansion * channels, channels, 1,
-                               zero_init=True, dtype=dtype)
+        self.conv_in = Conv2d(channels, expansion * channels, 1, rng=rng)
+        self.conv_out = Conv2d(expansion * channels, channels, 1, zero_init=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.conv_out(self.conv_in(x).gelu())
 
 
 def make_ffn(kind: str, channels: int, rng: np.random.Generator, *,
-             expansion: int = FFN_EXPANSION, dtype=np.float64) -> Module:
+             expansion: int = FFN_EXPANSION) -> Module:
     """The plain FFN baseline or CE-FFN; both output exactly zero at init
     (zero-init output projection), so the caller's residual is an identity."""
     if kind == "vanilla":
-        return VanillaFfn(channels, rng, expansion=expansion, dtype=dtype)
+        return VanillaFfn(channels, rng, expansion=expansion)
     if kind == "ce_ffn":
-        return CeFfn(channels, rng, expansion=expansion, dtype=dtype)
+        return CeFfn(channels, rng, expansion=expansion)
     raise ValueError(f"unknown ffn kind {kind!r}; choose from {FFN_KINDS}")
 
 
 class SpatialAttention(Module):
     """Single-map spatial gate: x * sigmoid(Conv7x7([mean_c(x); max_c(x)]))."""
 
-    def __init__(self, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, rng: np.random.Generator):
         super().__init__()
-        self.conv = Conv2d(2, 1, 7, padding=3, rng=rng, dtype=dtype)
+        self.conv = Conv2d(2, 1, 7, padding=3, rng=rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         m = self.conv(concat([x.mean(axis=1, keepdims=True),
@@ -99,14 +100,14 @@ class Mlca(Module):
     A single kernel-3 channel-mixing conv (zero-padded across channels,
     identity init) is shared between a global path (GAP) and a local path
     (average-pool to a k x k grid, gated per cell, nearest-upsampled back).
-    Output: x * (beta * w_global + (1 - beta) * w_local).
+    Output: x * (beta * w_global + (1 - beta) * w_local), beta = MLCA_BETA.
     """
 
-    def __init__(self, *, grid: int = 5, beta: float = 0.5, dtype=np.float64):
+    def __init__(self, *, grid: int = 5):
         super().__init__()
-        self.grid, self.beta = grid, beta
-        self.mix_weight = Parameter(np.array([0.0, 1.0, 0.0], dtype=dtype))
-        self.mix_bias = Parameter(np.zeros(1, dtype=dtype))
+        self.grid = grid
+        self.mix_weight = Parameter(np.array([0.0, 1.0, 0.0]))
+        self.mix_bias = Parameter(np.zeros(1))
 
     def _channel_mix(self, p: Tensor) -> Tensor:
         return conv3_seq(p, self.mix_weight, self.mix_bias).sigmoid()
@@ -118,19 +119,18 @@ class Mlca(Module):
         w_g = self._channel_mix(x.mean(axis=(2, 3), keepdims=True))
         pooled = adaptive_avg_pool2d(x, (self.grid, self.grid))
         w_l = upsample_nearest_to(self._channel_mix(pooled), h, w)
-        return x * (w_g * self.beta + w_l * (1.0 - self.beta))
+        return x * (w_g * MLCA_BETA + w_l * (1.0 - MLCA_BETA))
 
 
 class ScaleCalibration(Module):
     """Pyramid-pooled gate in (0,1): sigmoid of summed per-scale 1x1 convs."""
 
     def __init__(self, channels: int, rng: np.random.Generator, *,
-                 pool_sizes: tuple[int, ...] = SC_POOL_SIZES, dtype=np.float64):
+                 pool_sizes: tuple[int, ...] = SC_POOL_SIZES):
         super().__init__()
         self.pool_sizes = tuple(pool_sizes)
         for s in self.pool_sizes:
-            setattr(self, f"conv{s}", Conv2d(channels, channels, 1, rng=rng,
-                                             dtype=dtype))
+            setattr(self, f"conv{s}", Conv2d(channels, channels, 1, rng=rng))
 
     def __call__(self, x: Tensor) -> Tensor:
         _, _, h, w = x.shape
@@ -151,17 +151,17 @@ class Csca(Module):
     """
 
     def __init__(self, channels: int, rng: np.random.Generator, *,
-                 kind: str = "csca", dtype=np.float64):
+                 kind: str = "csca"):
         super().__init__()
         if kind not in NECK_ATTENTION_KINDS:
             raise ValueError(f"unknown attention kind {kind!r}; "
                              f"choose from {NECK_ATTENTION_KINDS}")
         self.kind = kind
         if kind == "csca":
-            self.mlca = Mlca(dtype=dtype)
-            self.sa = SpatialAttention(rng, dtype=dtype)
-            self.sc = ScaleCalibration(channels, rng, dtype=dtype)
-        self.fuse = Conv2d(2 * channels, channels, 1, zero_init=True, dtype=dtype)
+            self.mlca = Mlca()
+            self.sa = SpatialAttention(rng)
+            self.sc = ScaleCalibration(channels, rng)
+        self.fuse = Conv2d(2 * channels, channels, 1, zero_init=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         if self.kind == "csca":

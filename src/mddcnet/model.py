@@ -114,17 +114,16 @@ class Stem(Module):
     actual input differs.
     """
 
-    def __init__(self, cfg: VariantConfig, rng: np.random.Generator,
-                 dtype=np.float64):
+    def __init__(self, cfg: VariantConfig, rng: np.random.Generator):
         super().__init__()
         c1 = cfg.embed_dims[0]
         mid = max(c1 // 2, 4)
-        self.conv1 = Conv2d(3, mid, 3, stride=2, padding=1, rng=rng, dtype=dtype)
-        self.norm1 = BatchNorm2d(mid, dtype=dtype)
-        self.conv2 = Conv2d(mid, c1, 3, stride=2, padding=1, rng=rng, dtype=dtype)
-        self.norm2 = BatchNorm2d(c1, dtype=dtype)
+        self.conv1 = Conv2d(3, mid, 3, stride=2, padding=1, rng=rng)
+        self.norm1 = BatchNorm2d(mid)
+        self.conv2 = Conv2d(mid, c1, 3, stride=2, padding=1, rng=rng)
+        self.norm2 = BatchNorm2d(c1)
         base = cfg.input_size // 4
-        self.pos_embed = Parameter(np.zeros((1, c1, base, base), dtype=dtype))
+        self.pos_embed = Parameter(np.zeros((1, c1, base, base)))
 
     def __call__(self, x: Tensor) -> Tensor:
         _, _, h, w = x.shape
@@ -141,19 +140,19 @@ class Block(Module):
     """Pre-norm residual block: token mixer (MSDDC or Mamba) then FFN."""
 
     def __init__(self, channels: int, kind: str, cfg: VariantConfig,
-                 rng: np.random.Generator, dtype=np.float64):
+                 rng: np.random.Generator):
         super().__init__()
         self.kind = kind
-        self.norm1 = BatchNorm2d(channels, dtype=dtype)
+        self.norm1 = BatchNorm2d(channels)
         if kind == "msddc":
             self.msddc = Msddc(MsddcConfig(
                 channels, channels, dilations=cfg.dilations,
-                branch_channels=cfg.branch_channels(channels)), rng, dtype)
+                branch_channels=cfg.branch_channels(channels)), rng)
         else:
             self.mamba = MambaBlock2d(MambaBlockConfig(
-                d_model=channels, d_state=cfg.d_state), rng, dtype)
-        self.norm2 = BatchNorm2d(channels, dtype=dtype)
-        self.ffn = make_ffn(cfg.ffn_kind, channels, rng, dtype=dtype)
+                d_model=channels, d_state=cfg.d_state), rng)
+        self.norm2 = BatchNorm2d(channels)
+        self.ffn = make_ffn(cfg.ffn_kind, channels, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         mixer = self.msddc if self.kind == "msddc" else self.mamba
@@ -164,11 +163,10 @@ class Block(Module):
 class Downsample(Module):
     """Stride-2 3x3 conv + norm between stages."""
 
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator,
-                 dtype=np.float64):
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator):
         super().__init__()
-        self.conv = Conv2d(cin, cout, 3, stride=2, padding=1, rng=rng, dtype=dtype)
-        self.norm = BatchNorm2d(cout, dtype=dtype)
+        self.conv = Conv2d(cin, cout, 3, stride=2, padding=1, rng=rng)
+        self.norm = BatchNorm2d(cout)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.norm(self.conv(x))
@@ -183,15 +181,14 @@ class A2Fpn(Module):
     """
 
     def __init__(self, in_dims: tuple[int, int, int], cfg: VariantConfig,
-                 rng: np.random.Generator, dtype=np.float64):
+                 rng: np.random.Generator):
         super().__init__()
         w = cfg.neck_width
         mcfg = MambaBlockConfig(d_model=w, d_state=cfg.d_state)
         for i, cin in zip((3, 4, 5), in_dims):
-            setattr(self, f"lateral{i}", Conv2d(cin, w, 1, rng=rng, dtype=dtype))
-            setattr(self, f"mamba{i}", MambaBlock2d(mcfg, rng, dtype))
-            setattr(self, f"att{i}", Csca(w, rng, kind=cfg.neck_attention,
-                                          dtype=dtype))
+            setattr(self, f"lateral{i}", Conv2d(cin, w, 1, rng=rng))
+            setattr(self, f"mamba{i}", MambaBlock2d(mcfg, rng))
+            setattr(self, f"att{i}", Csca(w, rng, kind=cfg.neck_attention))
 
     def _level(self, i: int, z: Tensor) -> Tensor:
         z = z + getattr(self, f"mamba{i}")(z)
@@ -209,16 +206,16 @@ class HeadLevel(Module):
     trunks of ``depth`` 3x3 convs, with 1x1 predictors (cls K / box 4 / obj 1)."""
 
     def __init__(self, in_width: int, width: int, depth: int, num_classes: int,
-                 rng: np.random.Generator, dtype=np.float64):
+                 rng: np.random.Generator):
         super().__init__()
-        self.entry = Conv2d(in_width, width, 1, rng=rng, dtype=dtype)
-        self.cls_trunk = [Conv2d(width, width, 3, padding=1, rng=rng, dtype=dtype)
+        self.entry = Conv2d(in_width, width, 1, rng=rng)
+        self.cls_trunk = [Conv2d(width, width, 3, padding=1, rng=rng)
                           for _ in range(depth)]
-        self.reg_trunk = [Conv2d(width, width, 3, padding=1, rng=rng, dtype=dtype)
+        self.reg_trunk = [Conv2d(width, width, 3, padding=1, rng=rng)
                           for _ in range(depth)]
-        self.pred_cls = Conv2d(width, num_classes, 1, rng=rng, dtype=dtype)
-        self.pred_box = Conv2d(width, 4, 1, rng=rng, dtype=dtype)
-        self.pred_obj = Conv2d(width, 1, 1, rng=rng, dtype=dtype)
+        self.pred_cls = Conv2d(width, num_classes, 1, rng=rng)
+        self.pred_box = Conv2d(width, 4, 1, rng=rng)
+        self.pred_obj = Conv2d(width, 1, 1, rng=rng)
         # start with low objectness so the untrained model is quiet
         self.pred_obj.bias.data[:] = -4.0
         # start boxes at sub-stride extents, the scale the routing sends here
@@ -236,11 +233,9 @@ class HeadLevel(Module):
 
 
 class Head(Module):
-    def __init__(self, cfg: VariantConfig, rng: np.random.Generator,
-                 dtype=np.float64):
+    def __init__(self, cfg: VariantConfig, rng: np.random.Generator):
         super().__init__()
-        self.levels = [HeadLevel(cfg.neck_width, w, cfg.head_depth,
-                                 NUM_CLASSES, rng, dtype)
+        self.levels = [HeadLevel(cfg.neck_width, w, cfg.head_depth, NUM_CLASSES, rng)
                        for w in cfg.head_widths]
 
     def __call__(self, pyr: PyramidFeatures):
@@ -275,24 +270,25 @@ def encode_box(box, cy_px: float, cx_px: float, stride: int) -> np.ndarray:
 
 
 class MddcNet(Module):
-    """Backbone + neck + head. forward() returns per-level raw predictions."""
+    """Backbone + neck + head. forward() returns per-level raw predictions.
 
-    def __init__(self, cfg: VariantConfig, rng: np.random.Generator | None = None,
-                 dtype=np.float64):
+    Built in float64; ``MddcNet(cfg, rng).astype(np.float32)`` computes in f32.
+    """
+
+    def __init__(self, cfg: VariantConfig, rng: np.random.Generator | None = None):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
         self.cfg = cfg
         dims = cfg.embed_dims
-        self.stem = Stem(cfg, rng, dtype)
+        self.stem = Stem(cfg, rng)
         for i in range(4):
-            blocks = [Block(dims[i], cfg.stage_kinds[i], cfg, rng, dtype)
+            blocks = [Block(dims[i], cfg.stage_kinds[i], cfg, rng)
                       for _ in range(cfg.depths[i])]
             setattr(self, f"stage{i + 1}", blocks)
             if i < 3:
-                setattr(self, f"down{i + 2}",
-                        Downsample(dims[i], dims[i + 1], rng, dtype))
-        self.neck = A2Fpn(dims[1:], cfg, rng, dtype)
-        self.head = Head(cfg, rng, dtype)
+                setattr(self, f"down{i + 2}", Downsample(dims[i], dims[i + 1], rng))
+        self.neck = A2Fpn(dims[1:], cfg, rng)
+        self.head = Head(cfg, rng)
 
     def backbone(self, x: Tensor):
         """Stage outputs at strides 8, 16, 32."""

@@ -163,18 +163,15 @@ class Msddc(Module):
     branch reads; called directly it is that branch at zero offset.
     """
 
-    def __init__(self, cfg: MsddcConfig, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, cfg: MsddcConfig, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
         cb = cfg.branch_channels or cfg.out_channels
-        self.offset_conv = Conv2d(cfg.in_channels, 18, 3, padding=1,
-                                  zero_init=True, dtype=dtype)
+        self.offset_conv = Conv2d(cfg.in_channels, 18, 3, padding=1, zero_init=True)
         for d in cfg.dilations:
             setattr(self, f"branch{d}",
-                    Conv2d(cfg.in_channels, cb, 3, padding=d, dilation=d,
-                           rng=rng, dtype=dtype))
-        self.fuse = Conv2d(cb * len(cfg.dilations), cfg.out_channels, 1,
-                           rng=rng, dtype=dtype)
+                    Conv2d(cfg.in_channels, cb, 3, padding=d, dilation=d, rng=rng))
+        self.fuse = Conv2d(cb * len(cfg.dilations), cfg.out_channels, 1, rng=rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         off = self.offset_conv(x)

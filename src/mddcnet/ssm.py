@@ -258,24 +258,22 @@ class MambaBlock(Module):
     initial step lands in [1e-3, 1e-1].
     """
 
-    def __init__(self, cfg: MambaBlockConfig, rng: np.random.Generator,
-                 dtype=np.float64):
+    def __init__(self, cfg: MambaBlockConfig, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
         di, s, r = cfg.d_inner, cfg.d_state, cfg.resolved_dt_rank()
-        self.in_proj = Linear(cfg.d_model, 2 * di, bias=False, rng=rng, dtype=dtype)
-        self.conv_weight = Parameter(kaiming_uniform(rng, (3, di), 3, dtype))
-        self.conv_bias = Parameter(np.zeros(di, dtype=dtype))
-        self.A_log = Parameter(np.log(np.tile(np.arange(1.0, s + 1.0),
-                                              (di, 1))).astype(dtype))
-        self.D_skip = Parameter(np.ones(di, dtype=dtype))
-        self.proj_B = Linear(di, s, bias=False, rng=rng, dtype=dtype)
-        self.proj_C = Linear(di, s, bias=False, rng=rng, dtype=dtype)
-        self.dt_down = Linear(di, r, bias=False, rng=rng, dtype=dtype)
-        self.dt_up = Linear(r, di, rng=rng, dtype=dtype)
+        self.in_proj = Linear(cfg.d_model, 2 * di, bias=False, rng=rng)
+        self.conv_weight = Parameter(kaiming_uniform(rng, (3, di), 3))
+        self.conv_bias = Parameter(np.zeros(di))
+        self.A_log = Parameter(np.log(np.tile(np.arange(1.0, s + 1.0), (di, 1))))
+        self.D_skip = Parameter(np.ones(di))
+        self.proj_B = Linear(di, s, bias=False, rng=rng)
+        self.proj_C = Linear(di, s, bias=False, rng=rng)
+        self.dt_down = Linear(di, r, bias=False, rng=rng)
+        self.dt_up = Linear(r, di, rng=rng)
         dt0 = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=di))
-        self.dt_up.bias.data = np.log(np.expm1(dt0)).astype(dtype)
-        self.out_proj = Linear(di, cfg.d_model, zero_init=True, dtype=dtype)
+        self.dt_up.bias.data = np.log(np.expm1(dt0))
+        self.out_proj = Linear(di, cfg.d_model, zero_init=True)
 
     def _scan_inputs(self, u: Tensor) -> tuple:
         """Arguments of ``selective_scan`` for the scan input ``u``."""
@@ -295,10 +293,9 @@ class MambaBlock(Module):
 class MambaBlock2d(Module):
     """MambaBlock over an image feature map, tokens in row-major order."""
 
-    def __init__(self, cfg: MambaBlockConfig, rng: np.random.Generator,
-                 dtype=np.float64):
+    def __init__(self, cfg: MambaBlockConfig, rng: np.random.Generator):
         super().__init__()
-        self.block = MambaBlock(cfg, rng, dtype)
+        self.block = MambaBlock(cfg, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         _, _, h, w = x.shape

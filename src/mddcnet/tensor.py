@@ -1,6 +1,8 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Values are numpy arrays (float64 for verification, float32 for speed).
+Every module is built in float64; ``Module.astype`` is the one place a
+model's precision is set, casting its parameters and buffers once.
 Every operation records a tape node eagerly; ``Tensor.backward`` replays
 the tape in reverse topological order. Tensors produced by an op are
 treated as immutable.
@@ -112,10 +114,10 @@ class Tensor:
     # make ndarray <op> Tensor defer to our reflected operators
     __array_ufunc__ = None
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=dtype)
+        self.data = np.asarray(data)
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float64)
         self.grad: np.ndarray | None = None
@@ -733,12 +735,11 @@ def scan_seq(abar: np.ndarray, bu: np.ndarray, h0: np.ndarray | None = None,
 class Parameter(Tensor):
     """A named, trainable tensor reachable from a model's registry."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, data, trainable: bool = True, dtype=None):
-        super().__init__(data, requires_grad=trainable, dtype=dtype)
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
         self.name = ""
-        self.trainable = trainable
 
 
 class Module:
@@ -795,6 +796,19 @@ class Module:
         for p in self.parameters():
             p.grad = None
 
+    def astype(self, dtype):
+        """Cast every parameter and buffer to ``dtype`` (float32 or float64)
+        in place and return the module. This is the one place a model's
+        precision is set: modules are built in float64 and cast once, as in
+        ``MddcNet(cfg, rng).astype(np.float32)``, before training or loading
+        a state dict."""
+        for p in self.parameters():
+            p.data = p.data.astype(dtype, copy=False)
+        for m in self.modules():
+            for name, buf in m._buffers.items():
+                m._buffers[name] = buf.astype(dtype, copy=False)
+        return self
+
     def state_dict(self) -> dict[str, np.ndarray]:
         d = {name: p.data for name, p in self.named_parameters()}
         for name, buf in self.named_buffers():
@@ -823,29 +837,28 @@ class Module:
                 bufs[name][...] = arr
 
 
-def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=np.float64):
+def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int):
     bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype, copy=False)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class Conv2d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel: int, *,
                  stride: int = 1, padding: int = 0, dilation: int = 1,
-                 groups: int = 1, bias: bool = True,
-                 rng: np.random.Generator | None = None, zero_init: bool = False,
-                 dtype=np.float64):
+                 groups: int = 1, rng: np.random.Generator | None = None,
+                 zero_init: bool = False):
         super().__init__()
         self.stride, self.padding, self.dilation, self.groups = stride, padding, dilation, groups
         shape = (out_channels, in_channels // groups, kernel, kernel)
         fan_in = (in_channels // groups) * kernel * kernel
         if zero_init:
-            w = np.zeros(shape, dtype=dtype)
+            w = np.zeros(shape)
         else:
             if rng is None:
                 raise ValueError("Conv2d needs an rng unless zero_init=True")
-            w = kaiming_uniform(rng, shape, fan_in, dtype)
+            w = kaiming_uniform(rng, shape, fan_in)
         self.weight = Parameter(w)
-        self.bias = Parameter(np.zeros(out_channels, dtype=dtype)) if bias else None
+        self.bias = Parameter(np.zeros(out_channels))
 
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, stride=self.stride,
@@ -854,17 +867,16 @@ class Conv2d(Module):
 
 class Linear(Module):
     def __init__(self, in_features: int, out_features: int, *, bias: bool = True,
-                 rng: np.random.Generator | None = None, zero_init: bool = False,
-                 dtype=np.float64):
+                 rng: np.random.Generator | None = None, zero_init: bool = False):
         super().__init__()
         if zero_init:
-            w = np.zeros((in_features, out_features), dtype=dtype)
+            w = np.zeros((in_features, out_features))
         else:
             if rng is None:
                 raise ValueError("Linear needs an rng unless zero_init=True")
-            w = kaiming_uniform(rng, (in_features, out_features), in_features, dtype)
+            w = kaiming_uniform(rng, (in_features, out_features), in_features)
         self.weight = Parameter(w)
-        self.bias = Parameter(np.zeros(out_features, dtype=dtype)) if bias else None
+        self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         out = x @ self.weight
@@ -874,14 +886,13 @@ class Linear(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, *, momentum: float = 0.1, eps: float = 1e-5,
-                 dtype=np.float64):
+    def __init__(self, channels: int, *, momentum: float = 0.1, eps: float = 1e-5):
         super().__init__()
         self.momentum, self.eps = momentum, eps
-        self.gamma = Parameter(np.ones(channels, dtype=dtype))
-        self.beta = Parameter(np.zeros(channels, dtype=dtype))
-        self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
-        self.register_buffer("running_var", np.ones(channels, dtype=dtype))
+        self.gamma = Parameter(np.ones(channels))
+        self.beta = Parameter(np.zeros(channels))
+        self.register_buffer("running_mean", np.zeros(channels))
+        self.register_buffer("running_var", np.ones(channels))
 
     def __call__(self, x: Tensor) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self._buffers["running_mean"],

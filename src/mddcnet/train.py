@@ -72,7 +72,7 @@ class LevelTargets:
     area: np.ndarray         # [H, W] area of the owning GT (inf if none)
 
 
-def route_level(box, input_size: int, strides) -> int:
+def route_level(box, input_size: int) -> int:
     """Pick the pyramid level whose stride matches the box size."""
     side = np.sqrt(max((box[2] - box[0]) * (box[3] - box[1]), 0.0))
     scale = input_size / 640.0
@@ -120,7 +120,7 @@ def assign_targets(annotations, input_size: int,
             continue
         bcx, bcy = (x1 + x2) / 2.0, (y1 + y2) / 2.0
         area = (x2 - x1) * (y2 - y1)
-        li = route_level(box, input_size, strides)
+        li = route_level(box, input_size)
         cells = []
         while li >= 0 and not (cells := inside_cells(li)):
             li -= 1

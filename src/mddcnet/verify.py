@@ -463,8 +463,7 @@ def check_model_dtype_preserved(rng) -> str:
     dtype (no NumPy promotion to f64 on the way)."""
     x = rng.random((2, 3, 64, 64))
     for dtype in (np.float32, np.float64):
-        model = MddcNet(variant_config("n-toy"), np.random.default_rng(0),
-                        dtype=dtype)
+        model = MddcNet(variant_config("n-toy"), np.random.default_rng(0)).astype(dtype)
         outs = [t for level in model(Tensor(x.astype(dtype))) for t in level]
         _require(all(t.dtype == dtype for t in outs),
                  f"{np.dtype(dtype).name} model output dtypes "

@@ -84,8 +84,8 @@ def test_verify_reports_failure_by_name(capsys, monkeypatch):
     import mddcnet.msddc as msddc
     orig = msddc.Msddc.__init__
 
-    def broken(self, cfg, rng, dtype=np.float64):
-        orig(self, cfg, rng, dtype)
+    def broken(self, cfg, rng):
+        orig(self, cfg, rng)
         self.offset_conv.weight.data = rng.standard_normal(
             self.offset_conv.weight.shape)
 
@@ -173,13 +173,18 @@ def test_gradcheck_exit_code_and_fail_lines(capsys, monkeypatch, worst, code):
 
 # -- train / infer ---------------------------------------------------------------
 
-def test_train_zero_epochs_writes_checkpoint(capsys, tmp_path):
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_train_zero_epochs_writes_checkpoint(capsys, tmp_path, precision):
     out = tmp_path / "run"
     code, stdout, _ = run(capsys, "train", "--epochs", "0", "--seed", "3",
-                          "--out", str(out))
+                          "--precision", precision, "--out", str(out))
     assert code == 0
     state = load_checkpoint(out / "checkpoint.bin")
     assert any(k.startswith("head.") for k in state)
+    # every entry, BatchNorm running statistics included, has the precision
+    assert any(k.endswith(".running_var") for k in state)
+    want = {"f32": np.float32, "f64": np.float64}[precision]
+    assert {k for k, v in state.items() if v.dtype != want} == set()
     assert (out / "metrics.jsonl").exists()
 
 

@@ -4,6 +4,7 @@ gate behavior, ablation family wiring."""
 import numpy as np
 import pytest
 
+from mddcnet import ffn_attn
 from mddcnet.tensor import Tensor
 from mddcnet.ffn_attn import (FFN_KINDS, NECK_ATTENTION_KINDS, CeFfn, Csca,
                               Mlca, ScaleCalibration, SpatialAttention,
@@ -68,14 +69,16 @@ def test_mlca_identity_mix_on_uniform_map():
     assert np.max(np.abs(y.data - c / (1.0 + np.exp(-c)))) < 1e-12
 
 
-def test_mlca_local_path_differs_from_global_on_structured_input():
-    mlca = Mlca(grid=2, beta=0.5)
+def test_mlca_local_path_differs_from_global_on_structured_input(monkeypatch):
+    mlca = Mlca(grid=2)
     x = np.zeros((1, 1, 8, 8))
     x[..., :4] = 2.0            # left half hot
-    y = Mlca(grid=2, beta=1.0)(Tensor(x)).data   # pure global: uniform gate
-    z = mlca(Tensor(x)).data                     # mixed: left/right differ
-    assert np.allclose(y[0, 0, :, :4] / 2.0, y[0, 0, 0, 0] / 2.0)
-    assert z[0, 0, 0, 0] != z[0, 0, 0, 7]
+    z = mlca(Tensor(x)).data    # mixed: the left cells' local gate is sigmoid(2)
+    monkeypatch.setattr(ffn_attn, "MLCA_BETA", 1.0)
+    y = mlca(Tensor(x)).data    # pure global: uniform gate sigmoid(mean) = sigmoid(1)
+    sig1, sig2 = 1.0 / (1.0 + np.exp(-1.0)), 1.0 / (1.0 + np.exp(-2.0))
+    assert np.allclose(y[0, 0, :, :4], 2.0 * sig1)
+    assert np.allclose(z[0, 0, :, :4], 2.0 * (0.5 * sig1 + 0.5 * sig2))
 
 
 def test_mlca_small_maps_clamp_grid():

@@ -4,7 +4,7 @@ box codec."""
 import numpy as np
 import pytest
 
-from mddcnet.tensor import Tensor
+from mddcnet.tensor import Tensor, no_grad
 from mddcnet.model import (BUDGET_TARGETS, MddcNet, VariantConfig, count_params,
                            decode_boxes, encode_box, estimate_flops,
                            variant_config)
@@ -142,7 +142,17 @@ def test_float32_forward_records_no_float64_node(monkeypatch):
         return out
 
     monkeypatch.setattr(Tensor, "_node", staticmethod(recording_node))
-    model = MddcNet(variant_config("n-toy"), np.random.default_rng(0),
-                    dtype=np.float32)
+    model = MddcNet(variant_config("n-toy"), np.random.default_rng(0)).astype(np.float32)
     model(Tensor(RNG.random((2, 3, 64, 64)).astype(np.float32)))
     assert dtypes == {"float32"}
+
+
+def test_eval_mode_float32_model_stays_float32():
+    # eval-mode batch_norm reads the running statistics, so a buffer left in
+    # f64 by the cast would promote every output after it to f64
+    model = MddcNet(variant_config("n-toy"), np.random.default_rng(0))
+    model.astype(np.float32).eval()
+    with no_grad():
+        preds = model(Tensor(RNG.random((1, 3, 64, 64)).astype(np.float32)))
+    assert {t.dtype.name for level in preds for t in level} == {"float32"}
+    assert {v.dtype.name for v in model.state_dict().values()} == {"float32"}

@@ -1,19 +1,25 @@
 """Autodiff core: forward semantics against naive references, gradients
 against central differences."""
 
+import importlib
+import inspect
+import pkgutil
 import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from mddcnet.tensor import (Tensor, concat, conv2d, maximum, minimum,
+import mddcnet
+from mddcnet.tensor import (Tensor, Module, Parameter, kaiming_uniform,
+                            concat, conv2d, maximum, minimum,
                             adaptive_avg_pool2d,
                             upsample_nearest_to, scan_seq, conv3_seq,
                             batch_norm, bilinear_resize, Conv2d, Linear,
                             BatchNorm2d, no_grad)
 from mddcnet.gradcheck import grad_check
 from mddcnet.msddc import bilinear_sample
+from mddcnet.ffn_attn import make_ffn
 
 RNG = np.random.default_rng(0)
 
@@ -526,3 +532,35 @@ def test_load_state_dict_rejects_missing_unknown_and_misshapen_entries():
                             "running_mean": np.zeros(1)})
     for k, v in bn.state_dict().items():          # a rejected dict loads nothing
         assert np.array_equal(v, before[k])
+
+
+def test_module_astype_casts_parameters_and_buffers_in_place():
+    bn = BatchNorm2d(3)
+    gamma = bn.gamma
+    assert bn.astype(np.float32) is bn
+    assert bn.gamma is gamma and gamma.dtype == np.float32
+    assert {v.dtype.name for v in bn.state_dict().values()} == {"float32"}
+
+
+def _library_modules():
+    for info in pkgutil.iter_modules(mddcnet.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"mddcnet.{info.name}")
+    todo, found = [Module], []
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("mddcnet."):
+                found.append(sub)
+    return found
+
+
+def test_precision_is_no_constructor_argument():
+    # Module.astype is the one place precision is set: no module and none of
+    # the tensor and parameter factories take a dtype argument
+    modules = _library_modules()
+    assert len(modules) >= 19
+    takes_dtype = [f.__qualname__ for f in (*modules, Tensor, Parameter,
+                                            kaiming_uniform, make_ffn)
+                   if "dtype" in inspect.signature(f).parameters]
+    assert takes_dtype == []

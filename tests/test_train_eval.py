@@ -55,11 +55,11 @@ def test_split_seeds_are_consecutive():
 
 def test_route_level_thresholds_scale_with_input():
     # at 640: <32 -> P3, <96 -> P4, else P5; at 64 the cuts are 3.2 / 9.6
-    assert route_level((0, 0, 30, 30), 640, (8, 16, 32)) == 0
-    assert route_level((0, 0, 60, 60), 640, (8, 16, 32)) == 1
-    assert route_level((0, 0, 200, 200), 640, (8, 16, 32)) == 2
-    assert route_level((0, 0, 3, 3), 64, (8, 16, 32)) == 0
-    assert route_level((0, 0, 20, 20), 64, (8, 16, 32)) == 2
+    assert route_level((0, 0, 30, 30), 640) == 0
+    assert route_level((0, 0, 60, 60), 640) == 1
+    assert route_level((0, 0, 200, 200), 640) == 2
+    assert route_level((0, 0, 3, 3), 64) == 0
+    assert route_level((0, 0, 20, 20), 64) == 2
 
 
 def test_assignment_cells_can_reach_iou_one():
