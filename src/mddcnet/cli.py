@@ -1,5 +1,5 @@
-"""Command-line entry point: verification, budget reports, gradient checks,
-toy training, inference, and scan benchmarks.
+"""Command-line entry point: verification (gradient checks included), budget
+reports, toy training, inference, and scan benchmarks.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 """
@@ -18,9 +18,8 @@ from . import io as mio
 from .data import CLASS_NAMES
 from .eval import decode_predictions
 from .ffn_attn import FFN_KINDS, NECK_ATTENTION_KINDS
-from .gradcheck import block_gradcheck_suite
-from .model import (BUDGET_TARGETS, MddcNet, VARIANT_NAMES, count_params,
-                    estimate_flops, variant_config)
+from .model import (BUDGET_TARGETS, MddcNet, VARIANT_NAMES, check_input_size,
+                    count_params, estimate_flops, variant_config)
 from .ssm import MambaBlock, MambaBlockConfig, scan_scaling
 from .tensor import Tensor, bilinear_resize, no_grad
 from .train import TrainConfig, train_loop
@@ -28,7 +27,6 @@ from .verify import default_seed, run_checks
 
 __all__ = ["main"]
 
-GRADCHECK_TOL = 1e-4
 SCALING_BAND = (1.6, 2.6)       # accepted time(2L)/time(L) of the scan
 _PRECISIONS = {"f32": np.float32, "f64": np.float64}
 
@@ -39,8 +37,13 @@ class UsageError(ValueError):
 
 def _parse_config_file(path) -> dict[str, str]:
     """Plain key=value lines; '#' starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8 text: {exc.reason} "
+                         f"at byte {exc.start}") from exc
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -88,9 +91,7 @@ def _out_dir(args) -> Path:
 def cmd_verify(args) -> int:
     results = run_checks(args.filter, args.seed)
     if not results:
-        print(f"no checks match filter {args.filter!r}",
-              file=sys.stderr if args.json else sys.stdout)
-        return 2
+        raise UsageError(f"no checks match filter {args.filter!r}")
     failed = [r for r in results if not r.passed]
     if args.json:
         for r in results:
@@ -110,9 +111,7 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = _build_variant(args)
-    model = MddcNet(cfg, np.random.default_rng(args.seed)).astype(
-        _PRECISIONS[args.precision])
-    params = count_params(model)
+    params = count_params(MddcNet(cfg, np.random.default_rng(args.seed)))
     flops = estimate_flops(cfg, input_size=640)
     print(f"variant {cfg.name}: dims {cfg.embed_dims}, depths {cfg.depths}, "
           f"stages {cfg.stage_kinds}")
@@ -132,28 +131,18 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    # finite differences are only meaningful in double precision
-    report = block_gradcheck_suite(seed=args.seed)
-    width = max(len(k) for k in report)
-    ok = True
-    for name, err in report.items():
-        status = "PASS" if err <= GRADCHECK_TOL else "FAIL"
-        ok &= err <= GRADCHECK_TOL
-        print(f"{status}  {name:<{width}}  max rel err {err:.3e}")
-    print(f"tolerance {GRADCHECK_TOL:g} (double precision)")
-    return 0 if ok else 1
-
-
 def cmd_train(args) -> int:
     cfg = _build_variant(args)
+    try:
+        tcfg = TrainConfig(epochs=args.epochs, batch=args.batch, lr=args.lr,
+                           seed=args.seed, input_size=args.input_size,
+                           train_scenes=args.train_scenes,
+                           val_scenes=args.val_scenes,
+                           early_stop_map=args.early_stop_map)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     dtype = _PRECISIONS[args.precision]
     model = MddcNet(cfg, np.random.default_rng(args.seed)).astype(dtype)
-    tcfg = TrainConfig(epochs=args.epochs, batch=args.batch, lr=args.lr,
-                       seed=args.seed, input_size=args.input_size,
-                       train_scenes=args.train_scenes,
-                       val_scenes=args.val_scenes,
-                       early_stop_map=args.early_stop_map)
     out = _out_dir(args)
     log_path = out / "metrics.jsonl"
     ckpt_path = out / "checkpoint.bin"
@@ -205,6 +194,10 @@ _BOX_COLORS = ((1.0, 0.2, 0.2), (0.2, 1.0, 0.2), (0.3, 0.5, 1.0))
 
 def cmd_infer(args) -> int:
     cfg = _build_variant(args)
+    try:
+        size = check_input_size(args.input_size)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     dtype = _PRECISIONS[args.precision]
     model = MddcNet(cfg, np.random.default_rng(args.seed)).astype(dtype)
     if args.checkpoint:
@@ -216,7 +209,6 @@ def cmd_infer(args) -> int:
                                       f"the flags build: {exc.args[0]}") from exc
     model.eval()
     img = mio.read_ppm(args.image)
-    size = args.input_size
     canvas, scale, px, py = _letterbox(img, size, dtype)
     with no_grad():
         preds = model(Tensor(canvas[None]))
@@ -315,46 +307,47 @@ def blas_threads() -> int | None:
 # -- argument plumbing ---------------------------------------------------------
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and its subcommand parsers by name."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--variant", default="n-toy", choices=VARIANT_NAMES)
-    common.add_argument("--stage-kinds", default=None,
-                        help="4 comma-separated mixers, e.g. msddc,msddc,mamba,mamba")
-    common.add_argument("--dilations", default=None,
-                        help="comma-separated branch dilations, e.g. 1,2,4")
-    common.add_argument("--ffn", default=None, choices=FFN_KINDS)
-    common.add_argument("--neck-attn", default=None, choices=NECK_ATTENTION_KINDS)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--precision", default="f64", choices=_PRECISIONS)
-    common.add_argument("--threads", type=int, default=None,
+    """The top-level parser and its subcommand parsers by name. Each
+    subcommand accepts only the options it reads."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--seed", type=int, default=None)
+    shared.add_argument("--threads", type=int, default=None,
                         help="pin numpy's OpenBLAS to this many threads "
                              "(default: leave BLAS as it is)")
-    common.add_argument("--out", default="out")
-    common.add_argument("--config", default=None,
+    shared.add_argument("--config", default=None,
                         help="key=value file supplying flag defaults")
+
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--variant", default="n-toy", choices=VARIANT_NAMES)
+    model.add_argument("--stage-kinds", default=None,
+                       help="4 comma-separated mixers, e.g. msddc,msddc,mamba,mamba")
+    model.add_argument("--dilations", default=None,
+                       help="comma-separated branch dilations, e.g. 1,2,4")
+    model.add_argument("--ffn", default=None, choices=FFN_KINDS)
+    model.add_argument("--neck-attn", default=None, choices=NECK_ATTENTION_KINDS)
+
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--precision", default="f64", choices=_PRECISIONS)
+    run.add_argument("--out", default="out")
 
     parser = argparse.ArgumentParser(
         prog="mddcnet",
         description="hybrid deformable-conv / state-space detector toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the named property-check suite")
+    p = sub.add_parser("verify", parents=[shared],
+                       help="run the named property checks, gradient checks included")
     p.add_argument("--filter", default=None,
                    help="only run checks whose name contains this substring")
     p.add_argument("--json", action="store_true",
                    help="print one JSON object per check: name, passed, seconds, detail")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report", parents=[shared, model],
                        help="per-section parameter/FLOP budget vs targets")
     p.set_defaults(fn=cmd_report)
 
-    p = sub.add_parser("gradcheck", parents=[common],
-                       help="finite-difference checks of every block family")
-    p.set_defaults(fn=cmd_gradcheck)
-
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[shared, model, run],
                        help="train on the synthetic shape benchmark")
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--batch", type=int, default=8)
@@ -365,7 +358,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--early-stop-map", type=float, default=None)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("infer", parents=[common],
+    p = sub.add_parser("infer", parents=[shared, model, run],
                        help="detect objects in a PPM (P6) image")
     p.add_argument("image")
     p.add_argument("--checkpoint", default=None)
@@ -373,7 +366,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--score-threshold", type=float, default=0.25)
     p.set_defaults(fn=cmd_infer)
 
-    p = sub.add_parser("bench", parents=[common],
+    p = sub.add_parser("bench", parents=[shared],
                        help="selective-scan timing and L-scaling table")
     p.add_argument("--lengths", default="1024,2048,4096,8192")
     p.add_argument("--d-inner", type=int, default=64)
@@ -389,7 +382,8 @@ def _install_config_defaults(command: argparse.ArgumentParser, path) -> None:
     options, so that flags given on the command line still win. Each value
     is checked against its option's type and choices; a switch takes
     ``true`` or ``false``."""
-    options = {a.dest: a for a in command._actions if a.option_strings}
+    options = {a.dest: a for a in command._actions
+               if a.option_strings and a.dest != "help"}
     defaults = {}
     for key, val in _parse_config_file(path).items():
         if key not in options:
@@ -426,8 +420,6 @@ def main(argv=None) -> int:
             if not set_blas_threads(args.threads):
                 print("warning: numpy's BLAS exposes no OpenBLAS thread control; "
                       "--threads ignored", file=sys.stderr)
-        if args.command == "gradcheck":
-            args.precision = "f64"
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

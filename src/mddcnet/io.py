@@ -135,10 +135,11 @@ def read_ppm(path) -> np.ndarray:
         j = i
         while j < len(buf) and not buf[j:j + 1].isspace():
             j += 1
-        if not buf[i:j].isdigit():
+        field = buf[i:j]
+        if not field.isdigit() or len(field) > 9:
             raise IOError(f"{path}: header field {len(fields) + 1} of 3 is "
-                          f"{buf[i:j]!r}, not a decimal number")
-        fields.append(int(buf[i:j]))
+                          f"{field[:20]!r}, not a decimal number of at most 9 digits")
+        fields.append(int(field))
         i = j
     i += 1  # single whitespace after maxval
     w, h, maxval = fields

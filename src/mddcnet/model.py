@@ -14,14 +14,14 @@ import numpy as np
 
 from .tensor import (Tensor, Module, Parameter, Conv2d, BatchNorm2d, concat,
                      bilinear_resize, upsample_nearest_to)
-from .msddc import Msddc, MsddcConfig
+from .msddc import Msddc, MsddcConfig, check_dilations
 from .ssm import MambaBlockConfig, MambaBlock2d
 from .ffn_attn import (make_ffn, Csca, FFN_KINDS, FFN_EXPANSION,
                        NECK_ATTENTION_KINDS, SC_POOL_SIZES)
 
 __all__ = ["VariantConfig", "variant_config", "VARIANT_NAMES", "MddcNet",
            "Detection", "PyramidFeatures", "count_params", "estimate_flops",
-           "BUDGET_TARGETS", "CLASS_NAMES", "NUM_CLASSES"]
+           "check_input_size", "BUDGET_TARGETS", "CLASS_NAMES", "NUM_CLASSES"]
 
 VARIANT_NAMES = ("n", "t", "b", "n-toy")
 STAGE_KINDS = ("msddc", "mamba")
@@ -61,6 +61,7 @@ class VariantConfig:
             raise ValueError(f"unknown ffn kind {self.ffn_kind!r}")
         if self.neck_attention not in NECK_ATTENTION_KINDS:
             raise ValueError(f"unknown neck attention {self.neck_attention!r}")
+        self.dilations = check_dilations(self.dilations)
 
     def branch_channels(self, c: int) -> int:
         return max(c // self.msddc_branch_div, 4)
@@ -80,6 +81,16 @@ _PRESETS = {
                   input_size=64, neck_width=32, head_widths=(24, 32, 48),
                   head_depth=1, d_state=4),
 }
+
+
+def check_input_size(size: int) -> int:
+    """The side of a square model input: a positive multiple of the coarsest
+    stride, so that every pyramid level has a whole number of cells."""
+    stride = max(VariantConfig.strides)
+    if size < 1 or size % stride:
+        raise ValueError(f"input_size must be a positive multiple of {stride}, "
+                         f"got {size}")
+    return size
 
 
 def variant_config(name: str, **overrides) -> VariantConfig:

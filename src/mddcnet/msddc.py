@@ -14,11 +14,20 @@ from scipy.sparse import csr_matrix
 
 from .tensor import Tensor, Module, Conv2d, concat
 
-__all__ = ["MsddcConfig", "Msddc", "bilinear_sample", "deform_dilated_conv"]
+__all__ = ["MsddcConfig", "Msddc", "bilinear_sample", "check_dilations",
+           "deform_dilated_conv"]
 
 # 3x3 taps in row-major kernel order; offset channels are tap-major (dy, dx) pairs
 _TAP_DY = np.repeat(np.arange(-1, 2), 3)
 _TAP_DX = np.tile(np.arange(-1, 2), 3)
+
+
+def check_dilations(dilations) -> tuple[int, ...]:
+    """The branch dilations as a tuple: non-empty, >= 1, strictly increasing."""
+    d = tuple(dilations)
+    if not d or any(x < 1 for x in d) or any(b <= a for a, b in zip(d, d[1:])):
+        raise ValueError(f"dilations must be non-empty, >=1, strictly increasing: {d}")
+    return d
 
 
 @dataclass
@@ -30,10 +39,7 @@ class MsddcConfig:
     branch_channels: int | None = None
 
     def __post_init__(self):
-        d = tuple(self.dilations)
-        if not d or any(x < 1 for x in d) or any(b <= a for a, b in zip(d, d[1:])):
-            raise ValueError(f"dilations must be non-empty, >=1, strictly increasing: {d}")
-        self.dilations = d
+        self.dilations = check_dilations(self.dilations)
 
 
 def bilinear_sample(x: Tensor, py, px, n: int, c: int) -> Tensor:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import Tensor, maximum, minimum, no_grad
-from .model import MddcNet, decode_boxes
+from .model import MddcNet, check_input_size, decode_boxes
 from .data import SynthScene, generate_split
 from .eval import decode_predictions, compute_map
 
@@ -50,9 +50,12 @@ class TrainConfig:
     translate_max: int = 8
 
     def __post_init__(self):
-        if min(self.lr, self.momentum, self.batch, self.epochs + 1,
-               self.input_size) <= 0:
-            raise ValueError("TrainConfig values must be positive")
+        for name in ("lr", "momentum", "batch", "train_scenes"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be at least 0, got {self.epochs}")
+        check_input_size(self.input_size)
 
 
 class TrainDivergence(RuntimeError):

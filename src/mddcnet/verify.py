@@ -3,7 +3,9 @@
 Every check is a no-argument-style callable taking a seeded RNG and either
 returning a short detail string or raising ``VerifyFailure``. The registry is
 shared by the command-line ``verify`` subcommand and the test suite, so a
-failure is always reported under a stable, filterable name.
+failure is always reported under a stable, filterable name. The ``grad.``
+checks compare each block family's analytic gradients with finite
+differences.
 
 The default seed is 0, overridable through the ``MDDC_TEST_SEED`` environment
 variable.
@@ -15,6 +17,7 @@ import os
 import time
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,18 +25,21 @@ from .tensor import Tensor, Conv2d, concat, conv2d, no_grad
 from .msddc import Msddc, MsddcConfig, bilinear_sample, deform_dilated_conv
 from .ssm import (MambaBlock, MambaBlockConfig, _chunk_len, discretize_zoh,
                   selective_scan, selective_scan_ref)
-from .ffn_attn import Csca, FFN_KINDS, NECK_ATTENTION_KINDS, Mlca, make_ffn
-from .model import MddcNet, count_params, decode_boxes, encode_box, \
+from .ffn_attn import (CeFfn, Csca, FFN_KINDS, NECK_ATTENTION_KINDS, Mlca,
+                       ScaleCalibration, SpatialAttention, make_ffn)
+from .model import HeadLevel, MddcNet, count_params, decode_boxes, encode_box, \
     estimate_flops, variant_config
 from .eval import Detection, average_precision, box_iou, compute_map, nms
 from .train import assign_targets, detection_loss, stack_targets
 from .data import generate_scene
+from .gradcheck import grad_check
 
 __all__ = ["VerifyFailure", "CheckResult", "CHECKS", "run_checks",
            "default_seed"]
 
 TOL_ORACLE = 1e-10
 TOL_MAP = 1e-9
+TOL_GRAD = 1e-4              # max relative error against finite differences
 
 
 class VerifyFailure(AssertionError):
@@ -681,6 +687,100 @@ def check_train_loss_properties(rng) -> str:
     return f"saturated loss {val:.3e}"
 
 
+# -- gradients -----------------------------------------------------------------
+
+def _module_cases(build, shapes, scale=None):
+    """Gradient cases of the module ``build(rng)``: its parameters under a
+    random read-out, one case per input shape. With ``scale``, every
+    parameter, zero-initialized ones included, is first perturbed by
+    N(0, scale²), so that gradient flows through every branch."""
+    def cases(rng):
+        module = build(rng)
+        if scale:
+            for _, p in module.named_parameters():
+                p.data = p.data + rng.normal(0.0, scale, p.data.shape)
+        return [_readout(module, Tensor(rng.standard_normal(shape)), rng)
+                for shape in shapes]
+    return cases
+
+
+def _readout(module, x, rng):
+    """A gradient case: a random linear read-out of the module's output(s)
+    at ``x``, and the module's parameters."""
+    def outputs():
+        y = module(x)
+        return y if isinstance(y, tuple) else (y,)
+    weights = [rng.standard_normal(t.shape) for t in outputs()]
+    return (lambda: sum((t * w).sum() for t, w in zip(outputs(), weights)),
+            module.named_parameters())
+
+
+def _loss_cases(rng):
+    """The detection loss against its only differentiable inputs, the raw
+    predictions of every level, on three scenes."""
+    out = []
+    for scene_seed in (11, 12, 13):
+        scene = generate_scene(scene_seed, 64)
+        targets = stack_targets([assign_targets(scene.annotations, 64)])
+        preds = [tuple(Tensor(0.3 * rng.standard_normal((1, k, *tgt.obj.shape[1:])),
+                              requires_grad=True) for k in (3, 1, 4))
+                 for tgt in targets]
+        named = [(f"level{li}.{part}", t) for li, trio in enumerate(preds)
+                 for part, t in zip(("cls", "obj", "box"), trio)]
+        out.append((partial(lambda p, t: detection_loss(p, t)["total"],
+                            preds, targets), named))
+    return out
+
+
+# block: (gradient cases of a seeded RNG, finite-difference step h, stencil).
+# msddc takes a small h: a larger step can carry a bilinear sample across a
+# grid line, where its derivative jumps. mamba takes the five-point stencil
+# at a large h: a small h drowns gradients near the 1e-8 floor (A_log, the
+# step projections) in roundoff, and central differences at an h large
+# enough to avoid that are off by their truncation error.
+GRAD_BLOCKS = {
+    "msddc": (_module_cases(lambda rng: Msddc(MsddcConfig(2, 3, branch_channels=2), rng),
+                            [(1, 2, 4, 4), (2, 2, 3, 5), (1, 2, 5, 3)], scale=0.3),
+              3e-6, "central"),
+    "mamba": (_module_cases(lambda rng: MambaBlock(
+                  MambaBlockConfig(d_model=4, d_state=2, dt_rank=2), rng),
+                            [(1, 3, 4), (2, 5, 4), (1, 1, 4)], scale=0.2),
+              3e-3, "five_point"),
+    "ce_ffn": (_module_cases(lambda rng: CeFfn(2, rng, expansion=2),
+                             [(1, 2, 3, 3), (2, 2, 2, 4), (1, 2, 4, 2)], scale=0.3),
+               1e-4, "central"),
+    "spatial_attention": (_module_cases(SpatialAttention,
+                                        [(1, 2, 4, 4), (2, 3, 3, 3), (1, 1, 5, 4)]),
+                          1e-4, "central"),
+    "mlca": (_module_cases(lambda rng: Mlca(grid=2),
+                           [(1, 2, 4, 4), (2, 3, 3, 5), (1, 1, 2, 2)], scale=0.3),
+             1e-4, "central"),
+    "scale_calibration": (_module_cases(
+                              lambda rng: ScaleCalibration(2, rng, pool_sizes=(1, 2)),
+                              [(1, 2, 4, 4), (2, 2, 3, 3), (1, 2, 5, 2)]),
+                          1e-4, "central"),
+    "csca": (_module_cases(lambda rng: Csca(2, rng),
+                           [(1, 2, 4, 4), (2, 2, 3, 3), (1, 2, 2, 5)], scale=0.3),
+             1e-4, "central"),
+    "head": (_module_cases(lambda rng: HeadLevel(3, 4, 1, 2, rng),
+                           [(1, 3, 3, 3), (2, 3, 2, 2), (1, 3, 4, 2)]),
+             1e-4, "central"),
+    "loss": (_loss_cases, 1e-4, "central"),
+}
+
+
+def check_grad(cases, h, stencil, rng) -> str:
+    """Every analytic gradient of a block family matches finite differences
+    to ``TOL_GRAD`` relative error (double precision, floor 1e-8), on
+    every case its table entry draws."""
+    errors = [max(grad_check(fn, params, h, stencil).values())
+              for fn, params in cases(rng)]
+    worst = max(errors)
+    _require(worst <= TOL_GRAD, f"max rel err {worst:.3e} > {TOL_GRAD:g} "
+                                f"({stencil}, h={h:g})")
+    return f"{len(errors)} cases, {stencil} h={h:g}, max rel err {worst:.3e}"
+
+
 CHECKS = {
     "msddc.zero_offset_matches_dilated": check_msddc_zero_offset_matches_dilated,
     "msddc.fresh_module_matches_dilated": check_msddc_fresh_module_matches_dilated,
@@ -711,6 +811,7 @@ CHECKS = {
     "eval.map_empty_cases": check_eval_map_empty_cases,
     "train.assignment_properties": check_train_assignment_properties,
     "train.loss_properties": check_train_loss_properties,
+    **{f"grad.{block}": partial(check_grad, *row) for block, row in GRAD_BLOCKS.items()},
 }
 
 

@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from mddcnet import verify
-from mddcnet.cli import main
+from mddcnet.cli import _build_parser, main
 from mddcnet.io import read_ppm, write_ppm, load_checkpoint, save_checkpoint
 from mddcnet.data import generate_scene
 
@@ -73,9 +75,9 @@ def test_verify_json_failure_exits_1(capsys, monkeypatch):
 
 
 def test_verify_empty_filter_is_usage_error(capsys):
-    code, out, _ = run(capsys, "verify", "--filter", "no-such-check")
-    assert code == 2
-    assert "no checks match" in out
+    code, out, err = run(capsys, "verify", "--filter", "no-such-check")
+    assert code == 2 and not out
+    assert "usage error: no checks match" in err
 
 
 def test_verify_reports_failure_by_name(capsys, monkeypatch):
@@ -90,7 +92,7 @@ def test_verify_reports_failure_by_name(capsys, monkeypatch):
             self.offset_conv.weight.shape)
 
     monkeypatch.setattr(msddc.Msddc, "__init__", broken)
-    code, out, _ = run(capsys, "verify", "--filter", "msddc", "--seed", "0")
+    code, out, _ = run(capsys, "verify", "--filter", "msddc.", "--seed", "0")
     assert code == 1
     assert "FAIL" in out
     assert "msddc.fresh_module_matches_dilated" in out.split("failing:")[1]
@@ -118,7 +120,19 @@ def test_verify_seed_env_fallback(capsys, monkeypatch):
     assert code == 0
 
 
-# -- report / gradcheck ----------------------------------------------------------
+@pytest.mark.parametrize("worst, code", [(2e-4, 1), (1e-4, 0)])
+def test_verify_grad_exit_code_and_fail_lines(capsys, monkeypatch, worst, code):
+    # the gradient checks fail above 1e-4 relative error, and only there
+    monkeypatch.setattr(verify, "grad_check",
+                        lambda fn, params, h, stencil: {"w": worst})
+    got, out, _ = run(capsys, "verify", "--filter", "grad.head", "--seed", "0")
+    assert got == code
+    status = out.splitlines()[0].split()[:2]
+    assert status == ["FAIL" if code else "PASS", "grad.head"]
+    assert f"max rel err {worst:.3e}" in out
+
+
+# -- report ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("variant", ["n", "t", "b"])
 def test_report_budget_table(capsys, variant):
@@ -157,18 +171,6 @@ def test_removed_ffn_kind_is_rejected(capsys, tmp_path):
 def test_bad_stage_kinds_is_usage_error(capsys):
     code, _, err = run(capsys, "report", "--stage-kinds", "msddc,mamba")
     assert code == 2 and "usage error" in err
-
-
-@pytest.mark.parametrize("worst, code", [(2e-4, 1), (1e-4, 0)])
-def test_gradcheck_exit_code_and_fail_lines(capsys, monkeypatch, worst, code):
-    monkeypatch.setattr("mddcnet.cli.block_gradcheck_suite",
-                        lambda seed: {"conv2d": 3e-7, "mamba_block": worst})
-    got, out, _ = run(capsys, "gradcheck", "--seed", "0")
-    assert got == code
-    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert ["mamba_block" in line for line in fails] == [True] * code
-    assert any(line.startswith("PASS") and "conv2d" in line
-               for line in out.splitlines())
 
 
 # -- train / infer ---------------------------------------------------------------
@@ -276,6 +278,65 @@ def test_infer_letterboxes_non_square_images(capsys, tmp_path):
     assert ann.shape == (3, 32, 80)       # detections mapped back to source
 
 
+# -- options ---------------------------------------------------------------------
+
+SHARED = {"--seed", "--threads", "--config"}
+MODEL = {"--variant", "--stage-kinds", "--dilations", "--ffn", "--neck-attn"}
+RUN = {"--precision", "--out"}
+# the options each subcommand reads; it rejects any other
+OPTIONS = {
+    "verify": SHARED | {"--filter", "--json"},
+    "report": SHARED | MODEL,
+    "train": SHARED | MODEL | RUN | {"--epochs", "--batch", "--lr", "--input-size",
+                                     "--train-scenes", "--val-scenes",
+                                     "--early-stop-map"},
+    "infer": SHARED | MODEL | RUN | {"--checkpoint", "--input-size",
+                                     "--score-threshold"},
+    "bench": SHARED | {"--lengths", "--d-inner", "--d-state", "--reps"},
+}
+
+
+def test_each_subcommand_accepts_the_options_it_reads():
+    _, commands = _build_parser()
+    assert {name: {s for a in p._actions for s in a.option_strings
+                   if s not in ("-h", "--help")}
+            for name, p in commands.items()} == OPTIONS
+
+
+@pytest.mark.parametrize("argv", [["verify", "--precision", "f32"],
+                                  ["verify", "--variant", "b"],
+                                  ["report", "--precision", "f32"],
+                                  ["bench", "--out", "x"]])
+def test_option_a_subcommand_does_not_read_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and argv[1] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--batch", "0"],
+    ["train", "--epochs", "-1"],
+    ["train", "--input-size", "0"],
+    ["train", "--input-size", "30"],
+    ["train", "--train-scenes", "0"],
+    ["train", "--dilations", "2,1"],
+    ["train", "--dilations", "0"],
+    ["infer", "--input-size", "0"],
+    ["infer", "--input-size", "30"],
+])
+def test_bad_numeric_flag_is_usage_error(capsys, tmp_path, argv):
+    command, flag, value = argv
+    # a run the flag fails to stop ends at once: no epochs, a real image
+    before = ["--epochs", "0"] if command == "train" else [str(tmp_path / "img.ppm")]
+    write_ppm(tmp_path / "img.ppm", generate_scene(1).image)
+    code, out, err = run(capsys, command, *before, "--out", str(tmp_path / "o"),
+                         flag, value)
+    assert code == 2 and err.startswith("usage error:")
+    assert flag[2:].replace("-", "_") in err and "Traceback" not in err
+
+
 # -- config file -----------------------------------------------------------------
 
 def test_config_file_supplies_defaults(capsys, tmp_path):
@@ -301,31 +362,66 @@ def test_config_file_bad_syntax_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
-def _spy_on_verify(monkeypatch):
-    """Replace the verify subcommand with one that records its arguments."""
+def test_config_file_not_utf8_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed = \xff\xfe\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and not out
+    assert err.startswith("usage error:") and str(cfg) in err
+    assert "Traceback" not in err
+
+
+def test_config_key_the_subcommand_does_not_read_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("precision = f32\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and "unknown option 'precision'" in err and not out
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(command=st.sampled_from(sorted(OPTIONS)),
+       raw=st.one_of(st.binary(max_size=80),
+                     st.lists(st.tuples(st.sampled_from(sorted(
+                         {o[2:].replace("-", "_") for v in OPTIONS.values() for o in v}
+                         | {"help", "bogus"})), st.binary(max_size=12)), max_size=4)
+                     .map(lambda kv: b"".join(k.encode() + b" = " + v + b"\n"
+                                               for k, v in kv))))
+def test_any_config_file_parses_or_is_usage_error(tmp_path_factory, command, raw):
+    # only parsing runs: the subcommand and the BLAS thread pinning are spies
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(raw)
+    argv = [command, *(["img.ppm"] if command == "infer" else []), "--config", str(path)]
+    with pytest.MonkeyPatch.context() as mp:
+        _spy_on(mp, command)
+        mp.setattr("mddcnet.cli.set_blas_threads", lambda n: True)
+        assert main(argv) in (0, 2, 3)
+
+
+def _spy_on(monkeypatch, command):
+    """Replace a subcommand with one that records its arguments."""
     seen = {}
 
     def spy(args):
         seen.update(vars(args))
         return 0
-    monkeypatch.setattr("mddcnet.cli.cmd_verify", spy)
+    monkeypatch.setattr(f"mddcnet.cli.cmd_{command}", spy)
     return seen
 
 
 def test_explicit_flag_beats_config_file(capsys, tmp_path, monkeypatch):
-    seen = _spy_on_verify(monkeypatch)
+    seen = _spy_on(monkeypatch, "train")
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 5\nprecision = f32\n")
-    code, _, _ = run(capsys, "verify", "--seed", "9", "--config", str(cfg))
+    code, _, _ = run(capsys, "train", "--seed", "9", "--config", str(cfg))
     assert code == 0
     assert seen["seed"] == 9 and seen["precision"] == "f32"
 
 
 def test_config_file_beats_builtin_default(capsys, tmp_path, monkeypatch):
-    seen = _spy_on_verify(monkeypatch)
+    seen = _spy_on(monkeypatch, "report")
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 5\nffn = vanilla\n")
-    code, _, _ = run(capsys, "verify", "--config", str(cfg))
+    code, _, _ = run(capsys, "report", "--config", str(cfg))
     assert code == 0
     assert seen["seed"] == 5 and seen["ffn"] == "vanilla"
 
@@ -334,10 +430,13 @@ def test_config_file_beats_builtin_default(capsys, tmp_path, monkeypatch):
                                   f"ffn = {DELETED_FFN_KIND}", "variant = xxl",
                                   "json = maybe"])
 def test_config_file_bad_value_is_usage_error(capsys, tmp_path, line):
+    # on the first subcommand that reads the key
+    key = line.split()[0]
+    command = next(c for c, opts in OPTIONS.items() if f"--{key}" in opts)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
-    code, out, err = run(capsys, "verify", "--config", str(cfg))
-    assert code == 2 and "usage error" in err and line.split()[0] in err
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2 and "usage error" in err and key in err
     assert not out
 
 

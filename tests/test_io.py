@@ -5,7 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mddcnet.cli import main
 from mddcnet.data import generate_scene
@@ -205,6 +205,36 @@ def test_ppm_malformed_header_is_io_error(tmp_path, header):
     p.write_bytes(header)
     with pytest.raises(IOError):
         read_ppm(p)
+
+
+@st.composite
+def _ppm_files(draw):
+    """Random bytes, or a P6 header of three fields (small numbers, long digit
+    runs or junk; comments and whitespace between them) and random pixels."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    field = st.one_of(st.integers(0, 300).map(lambda v: str(v).encode()),
+                      st.text("0123456789", min_size=1, max_size=30).map(str.encode),
+                      st.binary(min_size=1, max_size=4))
+    gap = st.sampled_from([b" ", b"\n", b"\t", b" # note\n", b"\r\n"])
+    parts = [b"P6"]
+    for _ in range(draw(st.integers(0, 3))):
+        parts += [draw(gap), draw(field)]
+    return b"".join(parts) + draw(gap) + draw(st.binary(max_size=300))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(raw=_ppm_files())
+@example(raw=b"P6\n" + b"9" * 5000 + b" 4\n255\n")
+def test_read_ppm_returns_an_image_or_raises_os_error(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ppm"
+    path.write_bytes(raw)
+    try:
+        img = read_ppm(path)
+    except OSError:
+        return
+    assert img.ndim == 3 and img.shape[0] == 3 and img.size > 0
+    assert img.min() >= 0.0 and img.max() <= 1.0
 
 
 def test_ppm_values_clip(tmp_path):
