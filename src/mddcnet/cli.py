@@ -111,7 +111,7 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = _build_variant(args)
-    params = count_params(MddcNet(cfg, np.random.default_rng(args.seed)))
+    params = count_params(MddcNet(cfg, np.random.default_rng(0)))  # shapes only
     flops = estimate_flops(cfg, input_size=640)
     print(f"variant {cfg.name}: dims {cfg.embed_dims}, depths {cfg.depths}, "
           f"stages {cfg.stage_kinds}")
@@ -309,13 +309,14 @@ def blas_threads() -> int | None:
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The top-level parser and its subcommand parsers by name. Each
     subcommand accepts only the options it reads."""
-    shared = argparse.ArgumentParser(add_help=False)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None,
+                        help="key=value file supplying flag defaults")
+    shared = argparse.ArgumentParser(add_help=False, parents=[config])
     shared.add_argument("--seed", type=int, default=None)
     shared.add_argument("--threads", type=int, default=None,
                         help="pin numpy's OpenBLAS to this many threads "
                              "(default: leave BLAS as it is)")
-    shared.add_argument("--config", default=None,
-                        help="key=value file supplying flag defaults")
 
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--variant", default="n-toy", choices=VARIANT_NAMES)
@@ -343,7 +344,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="print one JSON object per check: name, passed, seconds, detail")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("report", parents=[shared, model],
+    p = sub.add_parser("report", parents=[config, model],
                        help="per-section parameter/FLOP budget vs targets")
     p.set_defaults(fn=cmd_report)
 
@@ -412,9 +413,9 @@ def main(argv=None) -> int:
         if args.config:
             _install_config_defaults(commands[args.command], args.config)
             args = parser.parse_args(argv)
-        if args.seed is None:
+        if "seed" in args and args.seed is None:
             args.seed = default_seed()
-        if args.threads is not None:
+        if getattr(args, "threads", None) is not None:
             if args.threads < 1:
                 raise UsageError(f"--threads must be at least 1, got {args.threads}")
             if not set_blas_threads(args.threads):

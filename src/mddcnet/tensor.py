@@ -492,7 +492,10 @@ def _conv_out_size(h, k, stride, padding, dilation):
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
            stride: int = 1, padding: int = 0, dilation: int = 1,
            groups: int = 1) -> Tensor:
-    """Cross-correlation with zero padding (no kernel flip)."""
+    """Cross-correlation with zero padding (no kernel flip), one im2col
+    lowering for every ``groups``. Backward keeps only the padded input and
+    rebuilds ``cols`` from it bit for bit (op-level checkpointing), so a k×k
+    call's k²-sized copy lives only inside its forward or its backward."""
     if stride < 1 or dilation < 1:
         raise ValueError("conv2d: stride and dilation must be positive")
     n, c, h, w = x.shape
@@ -510,11 +513,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     if padding:
         xd = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     s0, s1, s2, s3 = xd.strides
-    view = as_strided(xd, (n, c, kh, kw, oh, ow),
-                      (s0, s1, s2 * dilation, s3 * dilation, s2 * stride, s3 * stride))
-    cols = np.ascontiguousarray(view).reshape(n, groups, cg * kh * kw, oh * ow)
+
+    def im2col():
+        view = as_strided(xd, (n, c, kh, kw, oh, ow),
+                          (s0, s1, s2 * dilation, s3 * dilation, s2 * stride, s3 * stride))
+        return np.ascontiguousarray(view).reshape(n, groups, cg * kh * kw, oh * ow)
+
     w2 = weight.data.reshape(groups, co // groups, cg * kh * kw)
-    out = np.matmul(w2[None], cols).reshape(n, co, oh, ow)
+    out = np.matmul(w2[None], im2col()).reshape(n, co, oh, ow)
     if bias is not None:
         out += bias.data.reshape(1, co, 1, 1)
 
@@ -523,7 +529,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 
     def back(g):
         gg = g.reshape(n, groups, co // groups, oh * ow)
-        gw = np.matmul(gg, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(wshape)
+        gw = np.matmul(gg, im2col().transpose(0, 1, 3, 2)).sum(axis=0).reshape(wshape)
         gcols = np.matmul(w2.transpose(0, 2, 1)[None], gg)
         gcols = gcols.reshape(n, c, kh, kw, oh, ow)
         hp, wp = h + 2 * padding, w + 2 * padding

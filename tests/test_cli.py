@@ -136,7 +136,8 @@ def test_verify_grad_exit_code_and_fail_lines(capsys, monkeypatch, worst, code):
 
 @pytest.mark.parametrize("variant", ["n", "t", "b"])
 def test_report_budget_table(capsys, variant):
-    code, out, _ = run(capsys, "report", "--variant", variant, "--seed", "0")
+    # the counts depend on shapes alone, so report takes no seed
+    code, out, _ = run(capsys, "report", "--variant", variant)
     assert code == 0
     for sec in ("stem", "stage1", "neck", "head", "total", "delta"):
         assert sec in out
@@ -286,7 +287,7 @@ RUN = {"--precision", "--out"}
 # the options each subcommand reads; it rejects any other
 OPTIONS = {
     "verify": SHARED | {"--filter", "--json"},
-    "report": SHARED | MODEL,
+    "report": {"--config"} | MODEL,
     "train": SHARED | MODEL | RUN | {"--epochs", "--batch", "--lr", "--input-size",
                                      "--train-scenes", "--val-scenes",
                                      "--early-stop-map"},
@@ -306,6 +307,8 @@ def test_each_subcommand_accepts_the_options_it_reads():
 @pytest.mark.parametrize("argv", [["verify", "--precision", "f32"],
                                   ["verify", "--variant", "b"],
                                   ["report", "--precision", "f32"],
+                                  ["report", "--seed", "1"],
+                                  ["report", "--threads", "1"],
                                   ["bench", "--out", "x"]])
 def test_option_a_subcommand_does_not_read_is_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -420,10 +423,10 @@ def test_explicit_flag_beats_config_file(capsys, tmp_path, monkeypatch):
 def test_config_file_beats_builtin_default(capsys, tmp_path, monkeypatch):
     seen = _spy_on(monkeypatch, "report")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 5\nffn = vanilla\n")
+    cfg.write_text("dilations = 1,2\nffn = vanilla\n")
     code, _, _ = run(capsys, "report", "--config", str(cfg))
     assert code == 0
-    assert seen["seed"] == 5 and seen["ffn"] == "vanilla"
+    assert seen["dilations"] == "1,2" and seen["ffn"] == "vanilla"
 
 
 @pytest.mark.parametrize("line", ["seed = five", "precision = f16",

@@ -8,6 +8,7 @@ import warnings
 import weakref
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 import pytest
 
 import mddcnet
@@ -82,6 +83,74 @@ def test_conv2d_gradients():
 
         rep = grad_check(fn, [("x", x), ("w", w), ("b", b)])
         assert max(rep.values()) < 1e-6, (stride, padding, dilation, groups, rep)
+
+
+def conv2d_keeping_cols(x, weight, bias, stride, padding, dilation, groups):
+    """The slow reference for conv2d's backward rebuild: the same im2col
+    lowering, with ``cols`` kept alive from forward until backward."""
+    n, c, h, w = x.shape
+    co, cg, kh, kw = weight.shape
+    oh = (h + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
+    ow = (w + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
+    xd = x.data
+    if padding:
+        xd = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    s0, s1, s2, s3 = xd.strides
+    view = as_strided(xd, (n, c, kh, kw, oh, ow),
+                      (s0, s1, s2 * dilation, s3 * dilation, s2 * stride, s3 * stride))
+    cols = np.ascontiguousarray(view).reshape(n, groups, cg * kh * kw, oh * ow)
+    w2 = weight.data.reshape(groups, co // groups, cg * kh * kw)
+    out = np.matmul(w2[None], cols).reshape(n, co, oh, ow)
+    out += bias.data.reshape(1, co, 1, 1)
+
+    def back(g):
+        gg = g.reshape(n, groups, co // groups, oh * ow)
+        gw = np.matmul(gg, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.shape)
+        gcols = np.matmul(w2.transpose(0, 2, 1)[None], gg)
+        gcols = gcols.reshape(n, c, kh, kw, oh, ow)
+        gxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
+        for i in range(kh):
+            hi = i * dilation
+            for j in range(kw):
+                wj = j * dilation
+                gxp[:, :, hi:hi + oh * stride:stride,
+                    wj:wj + ow * stride:stride] += gcols[:, :, i, j]
+        gx = gxp[:, :, padding:padding + h, padding:padding + w] if padding else gxp
+        return gx, gw, g.sum(axis=(0, 2, 3))
+
+    return Tensor._node(out, (x, weight, bias), back)
+
+
+# (stride, padding, dilation, groups, in channels, out channels, kernel):
+# the grid at 3×3, CE-FFN's depthwise conv (groups == C) and spatial
+# attention's 7×7 at padding 3, plain and at stride 2
+REBUILD_GRID = ([(*case, 4, 4, 3) for case in CONV_GRID]
+                + [(1, 1, 1, 4, 4, 4, 3), (2, 1, 1, 4, 4, 4, 3),
+                   (1, 3, 1, 1, 2, 1, 7), (2, 3, 1, 1, 2, 1, 7)])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("stride,padding,dilation,groups,c,co,k", REBUILD_GRID)
+def test_conv2d_rebuild_equals_kept_cols(stride, padding, dilation, groups,
+                                         c, co, k, dtype):
+    # rebuilding cols in backward recomputes the kept copy's values in the
+    # same order, so output and all three gradients are equal bit for bit
+    rng = np.random.default_rng(3)
+    arrays = [rng.standard_normal(s).astype(dtype)
+              for s in ((2, c, 9, 8), (co, c // groups, k, k), (co,))]
+    results = []
+    for rebuild in (False, True):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out = (conv2d(x, w, b, stride=stride, padding=padding, dilation=dilation,
+                      groups=groups) if rebuild else
+               conv2d_keeping_cols(x, w, b, stride, padding, dilation, groups))
+        coeff = np.random.default_rng(4).standard_normal(out.shape).astype(dtype)
+        got = out.data.copy()
+        (out * Tensor(coeff)).sum().backward()
+        results.append((got, x.grad, w.grad, b.grad))
+    for ref, new in zip(*results):
+        assert new.dtype == dtype
+        assert np.array_equal(ref, new)
 
 
 @pytest.mark.parametrize("op", ["add", "mul", "sub", "div", "matmul"])

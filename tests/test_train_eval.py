@@ -5,6 +5,7 @@ import gc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mddcnet.tensor import Tensor
 from mddcnet.model import Detection, MddcNet, variant_config, encode_box
@@ -243,22 +244,71 @@ def _holds_tensor(value, depth=0):
     return False
 
 
-def test_tape_closures_capture_no_tensor():
-    # closures keep arrays and shapes only, so no op output stays reachable
-    # from the tape just because a closure read its shape or parameter
-    model = MddcNet(variant_config("n-toy"), np.random.default_rng(0))
-    seen, stack, ops = set(), [_n_toy_loss(model)], 0
+def _backward_closures(loss):
+    """The backward closure of every op in ``loss``'s graph, before backward()."""
+    seen, stack = set(), [loss]
     while stack:
         node = stack.pop()
         if id(node) in seen or node._backward is None:
             continue
         seen.add(id(node))
-        fn = node._backward
+        yield node._backward
+        stack.extend(node._parents)
+
+
+def _held_roots(fn, exclude):
+    """The base arrays a backward closure holds, by id: arrays its cells
+    capture, in nested closures, tuples and lists too, with a sparse
+    matrix's arrays counted and the arrays in ``exclude`` (ids) left out."""
+    held, stack, closures = {}, [fn], set()
+    while stack:
+        value = stack.pop()
+        if sparse.issparse(value):
+            stack.extend(vars(value).values())    # CSR, COO, ... arrays
+        elif isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            if id(value) not in exclude:
+                held[id(value)] = value
+        elif isinstance(value, (tuple, list)):
+            stack.extend(value)
+        elif getattr(value, "__closure__", None) and id(value) not in closures:
+            closures.add(id(value))
+            stack.extend(c.cell_contents for c in value.__closure__)
+    return held
+
+
+def test_tape_closures_capture_no_tensor():
+    # closures keep arrays and shapes only, so no op output stays reachable
+    # from the tape just because a closure read its shape or parameter
+    model = MddcNet(variant_config("n-toy"), np.random.default_rng(0))
+    ops = 0
+    for fn in _backward_closures(_n_toy_loss(model)):
         cells = [c.cell_contents for c in fn.__closure__ or ()]
         assert not any(_holds_tensor(v) for v in cells), fn.__qualname__
         ops += 1
-        stack.extend(node._parents)
     assert ops > 100
+
+
+def test_conv2d_backward_holds_no_im2col_copy():
+    # a conv's backward keeps its padded input and rebuilds the k²-times
+    # larger im2col matrix, so what one conv2d node holds is at most that
+    # input plus its weight: a kept im2col copy would break the bound
+    model = MddcNet(variant_config("n-toy"), np.random.default_rng(0))
+    params = {id(p.data) for p in model.parameters()}
+    convs = 0
+    for fn in _backward_closures(_n_toy_loss(model)):
+        if fn.__qualname__ != "conv2d.<locals>.back":
+            continue
+        free = dict(zip(fn.__code__.co_freevars,
+                        (c.cell_contents for c in fn.__closure__)))
+        n, c, h, w, pad = (free[k] for k in ("n", "c", "h", "w", "padding"))
+        padded = n * c * (h + 2 * pad) * (w + 2 * pad)
+        weight = np.prod(free["wshape"])
+        held = sum(a.nbytes for a in _held_roots(fn, params).values())
+        assert held <= (padded + weight) * free["w2"].itemsize, free["wshape"]
+        convs += 1
+    assert convs > 30
 
 
 def test_training_frees_its_tape_by_reference_counting():
