@@ -97,6 +97,9 @@ def deform_dilated_conv(x: Tensor, offsets: Tensor, weight: Tensor,
     Output pixel (y, x0), tap (i, j): sample the input at
     (y + d*i + dy_ij, x0 + d*j + dx_ij) bilinearly; out-of-image neighbors
     read zero. Offsets are in input pixels and are not scaled by ``dilation``.
+    Backward keeps only the input, the offsets and the reshaped weight, and
+    rebuilds the projection, the sampling matrix and the corner factors
+    from them bit for bit (op-level checkpointing).
     """
     n, c, h, w = x.shape
     if offsets.shape != (n, 18, h, w):
@@ -105,40 +108,46 @@ def deform_dilated_conv(x: Tensor, offsets: Tensor, weight: Tensor,
     if weight.shape != (co, c, 3, 3):
         raise ValueError(f"deformable weight must be [Co,{c},3,3], got {weight.shape}")
 
-    xd, od, wd = x.data, offsets.data, weight.data
+    xd, od = x.data, offsets.data
     dt, hw = xd.dtype, h * w
-    # project first: Y = X·W9ᵀ has rows (n, pixel, tap) holding W_tap·x, so the
-    # sampling moves Co values per corner instead of C
     xf = xd.reshape(n, c, hw)
-    w9 = wd.reshape(co, c, 9).transpose(2, 0, 1).reshape(9 * co, c)  # row tap*Co + o
-    y = np.matmul(xf.transpose(0, 2, 1), w9.T).reshape(n * hw * 9, co)
+    w9 = weight.data.reshape(co, c, 9).transpose(2, 0, 1).reshape(9 * co, c)  # row tap*Co + o
 
-    # sampling matrix P: one row per output pixel (n, y, x), 36 nonzeros in
-    # (tap, corner) order; column (n*H*W + source pixel)*9 + tap. Corners
-    # 00, 01, 10, 11 inside the image have exact columns; off-image ones weigh
-    # 0, so their columns only need to be in range and are clipped
-    py = np.arange(h)[:, None, None] + dilation * _TAP_DY + od[:, 0::2].transpose(0, 2, 3, 1)
-    px = np.arange(w)[:, None] + dilation * _TAP_DX + od[:, 1::2].transpose(0, 2, 3, 1)
-    fy, fx = np.floor(py), np.floor(px)
-    wy, wx = (py - fy).astype(dt, copy=False), (px - fx).astype(dt, copy=False)
-    y0, x0 = fy.astype(np.int32), fx.astype(np.int32)
-    # in-image masks: 0 <= i < h exactly when i read as unsigned is below h
-    vy0, vy1 = y0.view(np.uint32) < h, (y0 + 1).view(np.uint32) < h
-    vx0, vx1 = x0.view(np.uint32) < w, (x0 + 1).view(np.uint32) < w
-    fy0, fy1, fx0, fx1 = (1 - wy) * vy0, wy * vy1, (1 - wx) * vx0, wx * vx1
-    col00 = 9 * ((np.arange(n, dtype=np.int32) * hw)[:, None, None, None] + y0 * w + x0)
-    col00 += np.arange(9, dtype=np.int32)
-    cols = np.clip(_corners(col00, col00 + 9 * w, 0, 9, np.add), 0, 9 * n * hw - 1)
-    p = csr_matrix((_corners(fy0, fy1, fx0, fx1, np.multiply), cols,
-                    np.arange(0, cols.size + 1, 36, dtype=np.int32)), shape=(n * hw, y.shape[0]))
+    def sample():
+        # project first: Y = X·W9ᵀ has rows (n, pixel, tap) holding W_tap·x, so
+        # the sampling moves Co values per corner instead of C
+        y = np.matmul(xf.transpose(0, 2, 1), w9.T).reshape(n * hw * 9, co)
+        # sampling matrix P: one row per output pixel (n, y, x), 36 nonzeros in
+        # (tap, corner) order; column (n*H*W + source pixel)*9 + tap. Corners
+        # 00, 01, 10, 11 inside the image have exact columns; off-image ones
+        # weigh 0, so their columns only need to be in range and are clipped
+        py = np.arange(h)[:, None, None] + dilation * _TAP_DY + od[:, 0::2].transpose(0, 2, 3, 1)
+        px = np.arange(w)[:, None] + dilation * _TAP_DX + od[:, 1::2].transpose(0, 2, 3, 1)
+        fy, fx = np.floor(py), np.floor(px)
+        wy, wx = (py - fy).astype(dt, copy=False), (px - fx).astype(dt, copy=False)
+        y0, x0 = fy.astype(np.int32), fx.astype(np.int32)
+        # in-image masks: 0 <= i < h exactly when i read as unsigned is below h
+        vy0, vy1 = y0.view(np.uint32) < h, (y0 + 1).view(np.uint32) < h
+        vx0, vx1 = x0.view(np.uint32) < w, (x0 + 1).view(np.uint32) < w
+        fy0, fy1, fx0, fx1 = (1 - wy) * vy0, wy * vy1, (1 - wx) * vx0, wx * vx1
+        col00 = 9 * ((np.arange(n, dtype=np.int32) * hw)[:, None, None, None] + y0 * w + x0)
+        col00 += np.arange(9, dtype=np.int32)
+        cols = np.clip(_corners(col00, col00 + 9 * w, 0, 9, np.add), 0, 9 * n * hw - 1)
+        indptr = np.arange(0, cols.size + 1, 36, dtype=np.int32)
+        p = csr_matrix((_corners(fy0, fy1, fx0, fx1, np.multiply), cols, indptr),
+                       shape=(n * hw, y.shape[0]))
+        return y, p, (fy0, fy1, fx0, fx1), (vy0, vy1, vx0, vx1)
 
+    y, p = sample()[:2]
     out = (p @ y).reshape(n, h, w, co).transpose(0, 3, 1, 2)
+    del y, p
     if bias is not None:
         out = out + bias.data.reshape(1, co, 1, 1)
     parents = [x, offsets, weight] + ([bias] if bias is not None else [])
     has_bias, off_dtype = bias is not None, od.dtype
 
     def back(g):
+        y, p, (fy0, fy1, fx0, fx1), (vy0, vy1, vx0, vx1) = sample()
         gcl = g.transpose(0, 2, 3, 1).reshape(n * hw, co)
         gy = (p.T @ gcl).reshape(n, hw, 9 * co)
         gx = np.matmul(w9.T, gy.transpose(0, 2, 1)).reshape(n, c, h, w)
@@ -147,6 +156,7 @@ def deform_dilated_conv(x: Tensor, offsets: Tensor, weight: Tensor,
         # of the corner weights combine a into d/dpy and d/dpx per (pixel, tap)
         a = np.matmul(np.take(y, p.indices, axis=0).reshape(n * hw, 36, co),
                       gcl[:, :, None]).reshape(n, h, w, 9, 4)
+        del y, p, gy
         a00, a01, a10, a11 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
         goff = np.empty((n, 18, h, w), dtype=off_dtype)
         goff[:, 0::2] = (vy1 * (fx0 * a10 + fx1 * a11)

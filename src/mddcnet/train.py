@@ -219,7 +219,10 @@ def detection_loss(preds, targets: list[LevelTargets],
 
 
 class Sgd:
-    """SGD with classical momentum and global gradient-norm clipping."""
+    """SGD with classical momentum and global gradient-norm clipping.
+
+    ``step`` sets each parameter's ``grad`` to None once it has applied it,
+    so the spent gradients are not kept alive under the next forward."""
 
     def __init__(self, params, momentum: float = 0.937, clip_norm: float = 10.0):
         self.params = list(params)
@@ -237,6 +240,7 @@ class Sgd:
             v += g if scale == 1.0 else g * scale
             # lr·v is rounded to the parameter's dtype before it is subtracted
             p.data -= np.multiply(lr, v, out=np.empty_like(p.data), casting="same_kind")
+            p.grad = None
         return norm
 
 

@@ -1,0 +1,62 @@
+"""What a loss graph holds for backward, for the memory pins of the tests.
+
+The method is ROADMAP's "Measured" one: walk the graph of one loss before
+``backward()`` and collect the arrays its backward closures capture,
+deduplicated by base array, with sparse matrices counted and parameters
+excluded.
+"""
+
+import numpy as np
+from scipy import sparse
+
+from mddcnet.tensor import Tensor
+from mddcnet.data import generate_split
+from mddcnet.train import assign_targets, detection_loss, stack_targets
+
+
+def n_toy_loss(model, n_scenes=2):
+    """The detection loss of ``model`` on ``n_scenes`` 64² scenes, taped."""
+    scenes = generate_split(0, n_scenes)
+    x = Tensor(np.stack([s.image for s in scenes]))
+    targets = stack_targets([assign_targets(s.annotations, 64) for s in scenes])
+    return detection_loss(model(x), targets)["total"]
+
+
+def backward_closures(loss):
+    """The backward closure of every op in ``loss``'s graph, before backward()."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        yield node._backward
+        stack.extend(node._parents)
+
+
+def free_vars(fn) -> dict:
+    """A closure's free variables by name."""
+    return dict(zip(fn.__code__.co_freevars,
+                    (c.cell_contents for c in fn.__closure__)))
+
+
+def held_roots(fn, exclude):
+    """The base arrays a backward closure holds, by id: arrays its cells
+    capture, in nested closures, tuples and lists too, with a sparse
+    matrix's arrays counted and the arrays in ``exclude`` (ids) left out."""
+    held, stack, closures = {}, [fn], set()
+    while stack:
+        value = stack.pop()
+        if sparse.issparse(value):
+            stack.extend(vars(value).values())    # CSR, COO, ... arrays
+        elif isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            if id(value) not in exclude:
+                held[id(value)] = value
+        elif isinstance(value, (tuple, list)):
+            stack.extend(value)
+        elif getattr(value, "__closure__", None) and id(value) not in closures:
+            closures.add(id(value))
+            stack.extend(c.cell_contents for c in value.__closure__)
+    return held

@@ -5,7 +5,6 @@ import gc
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from mddcnet.tensor import Tensor
 from mddcnet.model import Detection, MddcNet, variant_config, encode_box
@@ -16,6 +15,8 @@ from mddcnet.train import (Sgd, TrainConfig, assign_targets, cosine_lr,
 from mddcnet.eval import (average_precision, box_iou, compute_map,
                           decode_predictions, nms)
 from mddcnet.verify import CHECKS
+
+from tape_memory import backward_closures, free_vars, held_roots, n_toy_loss
 
 RNG = np.random.default_rng(8)
 
@@ -211,6 +212,17 @@ def test_sgd_step_matches_formula(dtype, clip_norm):
         assert np.array_equal(p.data, p_init - (lr * v_ref).astype(dtype))
 
 
+def test_sgd_step_frees_the_gradients_it_applied():
+    # the next forward runs before zero_grad(), so a kept gradient would sit
+    # under that forward's tape; a parameter without one is left as it was
+    params = [Tensor(np.ones(3), requires_grad=True) for _ in range(3)]
+    for p in params[:2]:
+        p.grad = np.full(3, 0.5)
+    Sgd(params, momentum=0.9).step(0.1)
+    assert all(p.grad is None for p in params)
+    assert np.array_equal(params[2].data, np.ones(3))
+
+
 def test_cosine_schedule_endpoints():
     assert abs(cosine_lr(0, 100, 0.1, 0.001) - 0.1) < 1e-12
     assert abs(cosine_lr(99, 100, 0.1, 0.001) - 0.001) < 1e-12
@@ -227,13 +239,6 @@ def test_train_config_validation():
 
 # -- tape ---------------------------------------------------------------------
 
-def _n_toy_loss(model, n_scenes=2):
-    scenes = generate_split(0, n_scenes)
-    x = Tensor(np.stack([s.image for s in scenes]))
-    targets = stack_targets([assign_targets(s.annotations, 64) for s in scenes])
-    return detection_loss(model(x), targets)["total"]
-
-
 def _holds_tensor(value, depth=0):
     if isinstance(value, Tensor):
         return True
@@ -244,46 +249,12 @@ def _holds_tensor(value, depth=0):
     return False
 
 
-def _backward_closures(loss):
-    """The backward closure of every op in ``loss``'s graph, before backward()."""
-    seen, stack = set(), [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen or node._backward is None:
-            continue
-        seen.add(id(node))
-        yield node._backward
-        stack.extend(node._parents)
-
-
-def _held_roots(fn, exclude):
-    """The base arrays a backward closure holds, by id: arrays its cells
-    capture, in nested closures, tuples and lists too, with a sparse
-    matrix's arrays counted and the arrays in ``exclude`` (ids) left out."""
-    held, stack, closures = {}, [fn], set()
-    while stack:
-        value = stack.pop()
-        if sparse.issparse(value):
-            stack.extend(vars(value).values())    # CSR, COO, ... arrays
-        elif isinstance(value, np.ndarray):
-            while isinstance(value.base, np.ndarray):
-                value = value.base
-            if id(value) not in exclude:
-                held[id(value)] = value
-        elif isinstance(value, (tuple, list)):
-            stack.extend(value)
-        elif getattr(value, "__closure__", None) and id(value) not in closures:
-            closures.add(id(value))
-            stack.extend(c.cell_contents for c in value.__closure__)
-    return held
-
-
 def test_tape_closures_capture_no_tensor():
     # closures keep arrays and shapes only, so no op output stays reachable
     # from the tape just because a closure read its shape or parameter
     model = MddcNet(variant_config("n-toy"), np.random.default_rng(0))
     ops = 0
-    for fn in _backward_closures(_n_toy_loss(model)):
+    for fn in backward_closures(n_toy_loss(model)):
         cells = [c.cell_contents for c in fn.__closure__ or ()]
         assert not any(_holds_tensor(v) for v in cells), fn.__qualname__
         ops += 1
@@ -297,15 +268,14 @@ def test_conv2d_backward_holds_no_im2col_copy():
     model = MddcNet(variant_config("n-toy"), np.random.default_rng(0))
     params = {id(p.data) for p in model.parameters()}
     convs = 0
-    for fn in _backward_closures(_n_toy_loss(model)):
+    for fn in backward_closures(n_toy_loss(model)):
         if fn.__qualname__ != "conv2d.<locals>.back":
             continue
-        free = dict(zip(fn.__code__.co_freevars,
-                        (c.cell_contents for c in fn.__closure__)))
+        free = free_vars(fn)
         n, c, h, w, pad = (free[k] for k in ("n", "c", "h", "w", "padding"))
         padded = n * c * (h + 2 * pad) * (w + 2 * pad)
         weight = np.prod(free["wshape"])
-        held = sum(a.nbytes for a in _held_roots(fn, params).values())
+        held = sum(a.nbytes for a in held_roots(fn, params).values())
         assert held <= (padded + weight) * free["w2"].itemsize, free["wshape"]
         convs += 1
     assert convs > 30
@@ -322,7 +292,7 @@ def test_training_frees_its_tape_by_reference_counting():
     gc.disable()
     try:
         train_loop(model, cfg)        # two steps of batch 8
-        _n_toy_loss(model)
+        n_toy_loss(model)
         found = gc.collect()
     finally:
         gc.enable()
