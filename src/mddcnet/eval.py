@@ -16,6 +16,9 @@ __all__ = ["box_iou", "nms", "average_precision", "compute_map",
            "decode_predictions", "MAP_THRESHOLDS"]
 
 MAP_THRESHOLDS = tuple(np.round(np.arange(0.5, 0.96, 0.05), 2))
+# NMS overlap limit and per-image detection cap of decoded predictions
+DECODE_IOU_THRESHOLD = 0.45
+MAX_DETECTIONS = 100
 
 
 def box_iou(a, b) -> float:
@@ -86,9 +89,9 @@ def _match_episode(dets: list[Detection], gts: list, cls: int,
     return records
 
 
-def compute_map(predictions: list[list[Detection]], ground_truth: list[list],
-                thresholds=MAP_THRESHOLDS) -> dict[str, float]:
-    """COCO-style mAP over images.
+def compute_map(predictions: list[list[Detection]],
+                ground_truth: list[list]) -> dict[str, float]:
+    """COCO-style mAP over images, at the IoU thresholds MAP_THRESHOLDS.
 
     predictions[i] are the detections of image i; ground_truth[i] its
     (class_id, box) annotations. A class absent from every image, with no
@@ -102,7 +105,7 @@ def compute_map(predictions: list[list[Detection]], ground_truth: list[list],
     if not classes:
         return {"map50": 1.0, "map50_95": 1.0}
     per_thr = []
-    for thr in thresholds:
+    for thr in MAP_THRESHOLDS:
         aps = []
         for cls in classes:
             records: list[tuple[float, bool]] = []
@@ -115,9 +118,8 @@ def compute_map(predictions: list[list[Detection]], ground_truth: list[list],
     return {"map50": per_thr[0], "map50_95": float(np.mean(per_thr))}
 
 
-def decode_predictions(raw_levels, strides, score_threshold: float = 0.25,
-                       iou_threshold: float = 0.45,
-                       max_detections: int = 100) -> list[list[Detection]]:
+def decode_predictions(raw_levels, strides,
+                       score_threshold: float = 0.25) -> list[list[Detection]]:
     """Raw per-level head outputs -> per-image NMS-filtered detections.
 
     raw_levels: [(cls, obj, box), ...] tensors per pyramid level;
@@ -139,6 +141,6 @@ def decode_predictions(raw_levels, strides, score_threshold: float = 0.25,
                 for k, y, x in zip(ks, ys, xs):
                     dets.append(Detection(int(k), float(score[k, y, x]),
                                           tuple(float(v) for v in boxes[:, y, x])))
-            kept = nms(dets, iou_threshold, score_threshold)
-            out.append(kept[:max_detections])
+            kept = nms(dets, DECODE_IOU_THRESHOLD, score_threshold)
+            out.append(kept[:MAX_DETECTIONS])
         return out

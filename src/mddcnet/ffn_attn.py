@@ -14,7 +14,7 @@ from .tensor import (Tensor, Module, Parameter, Conv2d, concat, conv3_seq,
                      adaptive_avg_pool2d, upsample_nearest_to)
 
 __all__ = ["CeFfn", "VanillaFfn", "make_ffn", "FFN_KINDS", "FFN_EXPANSION",
-           "SpatialAttention", "Mlca", "MLCA_BETA", "ScaleCalibration",
+           "SpatialAttention", "Mlca", "MLCA_BETA", "MLCA_GRID", "ScaleCalibration",
            "SC_POOL_SIZES", "Csca", "NECK_ATTENTION_KINDS"]
 
 FFN_KINDS = ("vanilla", "ce_ffn")
@@ -25,6 +25,8 @@ FFN_EXPANSION = 1
 SC_POOL_SIZES = (1, 2, 4)
 # weight of MLCA's global gate; the local gate gets 1 - MLCA_BETA
 MLCA_BETA = 0.5
+# side of MLCA's local pooling grid (clamped to the input)
+MLCA_GRID = 5
 
 
 class CeFfn(Module):
@@ -38,10 +40,9 @@ class CeFfn(Module):
     The residual around the block belongs to the caller.
     """
 
-    def __init__(self, channels: int, rng: np.random.Generator, *,
-                 expansion: int = FFN_EXPANSION):
+    def __init__(self, channels: int, rng: np.random.Generator):
         super().__init__()
-        e = expansion * channels
+        e = FFN_EXPANSION * channels
         self.conv_in = Conv2d(channels, e, 1, rng=rng)
         self.dw = Conv2d(e, e, 3, padding=1, groups=e, rng=rng)
         self.local_conv = Conv2d(e, e, 1, rng=rng)
@@ -60,24 +61,23 @@ class CeFfn(Module):
 class VanillaFfn(Module):
     """Plain two-layer 1x1-conv FFN baseline."""
 
-    def __init__(self, channels: int, rng: np.random.Generator, *,
-                 expansion: int = FFN_EXPANSION):
+    def __init__(self, channels: int, rng: np.random.Generator):
         super().__init__()
-        self.conv_in = Conv2d(channels, expansion * channels, 1, rng=rng)
-        self.conv_out = Conv2d(expansion * channels, channels, 1, zero_init=True)
+        e = FFN_EXPANSION * channels
+        self.conv_in = Conv2d(channels, e, 1, rng=rng)
+        self.conv_out = Conv2d(e, channels, 1, zero_init=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.conv_out(self.conv_in(x).gelu())
 
 
-def make_ffn(kind: str, channels: int, rng: np.random.Generator, *,
-             expansion: int = FFN_EXPANSION) -> Module:
+def make_ffn(kind: str, channels: int, rng: np.random.Generator) -> Module:
     """The plain FFN baseline or CE-FFN; both output exactly zero at init
     (zero-init output projection), so the caller's residual is an identity."""
     if kind == "vanilla":
-        return VanillaFfn(channels, rng, expansion=expansion)
+        return VanillaFfn(channels, rng)
     if kind == "ce_ffn":
-        return CeFfn(channels, rng, expansion=expansion)
+        return CeFfn(channels, rng)
     raise ValueError(f"unknown ffn kind {kind!r}; choose from {FFN_KINDS}")
 
 
@@ -99,13 +99,12 @@ class Mlca(Module):
 
     A single kernel-3 channel-mixing conv (zero-padded across channels,
     identity init) is shared between a global path (GAP) and a local path
-    (average-pool to a k x k grid, gated per cell, nearest-upsampled back).
+    (average-pool to an MLCA_GRID-square grid, gated per cell, nearest-upsampled).
     Output: x * (beta * w_global + (1 - beta) * w_local), beta = MLCA_BETA.
     """
 
-    def __init__(self, *, grid: int = 5):
+    def __init__(self):
         super().__init__()
-        self.grid = grid
         self.mix_weight = Parameter(np.array([0.0, 1.0, 0.0]))
         self.mix_bias = Parameter(np.zeros(1))
 
@@ -117,7 +116,7 @@ class Mlca(Module):
         if h < 1 or w < 1:
             raise ValueError("mlca needs a non-empty spatial extent")
         w_g = self._channel_mix(x.mean(axis=(2, 3), keepdims=True))
-        pooled = adaptive_avg_pool2d(x, (self.grid, self.grid))
+        pooled = adaptive_avg_pool2d(x, (MLCA_GRID, MLCA_GRID))
         w_l = upsample_nearest_to(self._channel_mix(pooled), h, w)
         return x * (w_g * MLCA_BETA + w_l * (1.0 - MLCA_BETA))
 
@@ -125,17 +124,15 @@ class Mlca(Module):
 class ScaleCalibration(Module):
     """Pyramid-pooled gate in (0,1): sigmoid of summed per-scale 1x1 convs."""
 
-    def __init__(self, channels: int, rng: np.random.Generator, *,
-                 pool_sizes: tuple[int, ...] = SC_POOL_SIZES):
+    def __init__(self, channels: int, rng: np.random.Generator):
         super().__init__()
-        self.pool_sizes = tuple(pool_sizes)
-        for s in self.pool_sizes:
+        for s in SC_POOL_SIZES:
             setattr(self, f"conv{s}", Conv2d(channels, channels, 1, rng=rng))
 
     def __call__(self, x: Tensor) -> Tensor:
         _, _, h, w = x.shape
         acc = None
-        for s in self.pool_sizes:
+        for s in SC_POOL_SIZES:
             pooled = adaptive_avg_pool2d(x, (s, s))
             term = upsample_nearest_to(getattr(self, f"conv{s}")(pooled), h, w)
             acc = term if acc is None else acc + term

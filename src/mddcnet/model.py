@@ -14,7 +14,7 @@ import numpy as np
 
 from .tensor import (Tensor, Module, Parameter, Conv2d, BatchNorm2d, concat,
                      bilinear_resize, upsample_nearest_to)
-from .msddc import Msddc, MsddcConfig, check_dilations
+from .msddc import Msddc, check_dilations
 from .ssm import MambaBlockConfig, MambaBlock2d
 from .ffn_attn import (make_ffn, Csca, FFN_KINDS, FFN_EXPANSION,
                        NECK_ATTENTION_KINDS, SC_POOL_SIZES)
@@ -137,9 +137,8 @@ class Stem(Module):
         self.pos_embed = Parameter(np.zeros((1, c1, base, base)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        _, _, h, w = x.shape
-        if h % 32 or w % 32:
-            raise ValueError(f"input size {h}x{w} must be a multiple of 32")
+        for side in x.shape[2:]:
+            check_input_size(side)
         y = self.norm2(self.conv2(self.norm1(self.conv1(x)).gelu())).gelu()
         pe = self.pos_embed
         if pe.shape[2:] != y.shape[2:]:
@@ -156,9 +155,8 @@ class Block(Module):
         self.kind = kind
         self.norm1 = BatchNorm2d(channels)
         if kind == "msddc":
-            self.msddc = Msddc(MsddcConfig(
-                channels, channels, dilations=cfg.dilations,
-                branch_channels=cfg.branch_channels(channels)), rng)
+            self.msddc = Msddc(channels, channels, cfg.branch_channels(channels),
+                               cfg.dilations, rng)
         else:
             self.mamba = MambaBlock2d(MambaBlockConfig(
                 d_model=channels, d_state=cfg.d_state), rng)
@@ -326,15 +324,10 @@ _SECTIONS = ("stem", "stage1", "stage2", "stage3", "stage4", "neck", "head")
 
 def _section_of(name: str) -> str:
     top = name.split(".", 1)[0]
-    if top in ("stage1", "down2"):
-        return "stage1"
-    if top in ("stage2", "down3"):
-        return "stage2"
-    if top in ("stage3", "down4"):
-        return "stage3"
-    if top in ("stem", "stage4", "neck", "head"):
-        return top if top != "stem" else "stem"
-    raise ValueError(f"parameter {name} outside known sections")
+    section = {"down2": "stage1", "down3": "stage2", "down4": "stage3"}.get(top, top)
+    if section not in _SECTIONS:
+        raise ValueError(f"parameter {name} outside known sections")
+    return section
 
 
 def count_params(model: MddcNet) -> dict[str, int]:
@@ -353,7 +346,7 @@ def _cf(cout, cin, k, h, w, groups=1):
 
 def _mamba_flops(c: int, l: int, cfg: VariantConfig) -> int:
     mcfg = MambaBlockConfig(d_model=c, d_state=cfg.d_state)
-    di, s, r = mcfg.d_inner, mcfg.d_state, mcfg.resolved_dt_rank()
+    di, s, r = mcfg.d_inner, mcfg.d_state, mcfg.dt_rank
     return (2 * l * c * 2 * di          # in_proj
             + 2 * l * di * 3            # sequence conv
             + 2 * l * di * (2 * r + 2 * s) + 8 * l * di * s   # projections + scan + readout

@@ -7,14 +7,12 @@ taps; three dilated deformable branches share that offset field and a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from .tensor import Tensor, Module, Conv2d, concat
 
-__all__ = ["MsddcConfig", "Msddc", "bilinear_sample", "check_dilations",
+__all__ = ["Msddc", "bilinear_sample", "check_dilations",
            "deform_dilated_conv"]
 
 # 3x3 taps in row-major kernel order; offset channels are tap-major (dy, dx) pairs
@@ -28,18 +26,6 @@ def check_dilations(dilations) -> tuple[int, ...]:
     if not d or any(x < 1 for x in d) or any(b <= a for a, b in zip(d, d[1:])):
         raise ValueError(f"dilations must be non-empty, >=1, strictly increasing: {d}")
     return d
-
-
-@dataclass
-class MsddcConfig:
-    in_channels: int
-    out_channels: int
-    dilations: tuple[int, ...] = (1, 2, 4)
-    # None: every branch outputs out_channels (concat = 3*Co into the 1x1 fuse)
-    branch_channels: int | None = None
-
-    def __post_init__(self):
-        self.dilations = check_dilations(self.dilations)
 
 
 def bilinear_sample(x: Tensor, py, px, n: int, c: int) -> Tensor:
@@ -179,20 +165,21 @@ class Msddc(Module):
     branch reads; called directly it is that branch at zero offset.
     """
 
-    def __init__(self, cfg: MsddcConfig, rng: np.random.Generator):
+    def __init__(self, in_channels: int, out_channels: int, branch_channels: int,
+                 dilations, rng: np.random.Generator):
         super().__init__()
-        self.cfg = cfg
-        cb = cfg.branch_channels or cfg.out_channels
-        self.offset_conv = Conv2d(cfg.in_channels, 18, 3, padding=1, zero_init=True)
-        for d in cfg.dilations:
+        self.dilations = check_dilations(dilations)
+        cin, cb = in_channels, branch_channels
+        self.offset_conv = Conv2d(cin, 18, 3, padding=1, zero_init=True)
+        for d in self.dilations:
             setattr(self, f"branch{d}",
-                    Conv2d(cfg.in_channels, cb, 3, padding=d, dilation=d, rng=rng))
-        self.fuse = Conv2d(cb * len(cfg.dilations), cfg.out_channels, 1, rng=rng)
+                    Conv2d(cin, cb, 3, padding=d, dilation=d, rng=rng))
+        self.fuse = Conv2d(cb * len(self.dilations), out_channels, 1, rng=rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         off = self.offset_conv(x)
         outs = []
-        for d in self.cfg.dilations:
+        for d in self.dilations:
             branch = getattr(self, f"branch{d}")
             outs.append(deform_dilated_conv(x, off, branch.weight, branch.bias, d))
         return self.fuse(concat(outs, axis=1))

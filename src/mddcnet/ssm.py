@@ -32,16 +32,16 @@ CHUNK_ELEMENTS = 32768
 class MambaBlockConfig:
     d_model: int
     d_state: int = 16
-    # rank of the factored step-size projection; None: max(4, d_inner // 16)
-    dt_rank: int | None = None
 
     @property
     def d_inner(self) -> int:
         """Inner width: twice d_model, as in Mamba's reference block."""
         return 2 * self.d_model
 
-    def resolved_dt_rank(self) -> int:
-        return self.dt_rank if self.dt_rank is not None else max(4, self.d_inner // 16)
+    @property
+    def dt_rank(self) -> int:
+        """Rank of the factored step-size projection."""
+        return max(4, self.d_inner // 16)
 
 
 def discretize_zoh(a: Tensor, b: Tensor, delta: Tensor) -> tuple[Tensor, Tensor]:
@@ -261,7 +261,7 @@ class MambaBlock(Module):
     def __init__(self, cfg: MambaBlockConfig, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
-        di, s, r = cfg.d_inner, cfg.d_state, cfg.resolved_dt_rank()
+        di, s, r = cfg.d_inner, cfg.d_state, cfg.dt_rank
         self.in_proj = Linear(cfg.d_model, 2 * di, bias=False, rng=rng)
         self.conv_weight = Parameter(kaiming_uniform(rng, (3, di), 3))
         self.conv_bias = Parameter(np.zeros(di))

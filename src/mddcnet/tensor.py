@@ -287,9 +287,6 @@ class Tensor:
             lambda g: (_unbroadcast(g / bd, sa),
                        _unbroadcast(-g * out / bd, bd.shape)))
 
-    def __rtruediv__(self, other):
-        return Tensor._coerce(other) / self
-
     # -- elementwise functions ------------------------------------------
 
     def exp(self):
@@ -576,9 +573,13 @@ def conv3_seq(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 # -- normalization ------------------------------------------------------------
 
+# running-statistics update rate and variance floor of every batch norm
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-               running_var: np.ndarray, *, training: bool, momentum: float = 0.1,
-               eps: float = 1e-5) -> Tensor:
+               running_var: np.ndarray, *, training: bool) -> Tensor:
     """BatchNorm over (N,H,W) per channel; updates running stats in train mode."""
     n, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -589,14 +590,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
             raise ValueError("batch_norm: train mode needs at least 2 samples per channel")
         mu = xd.mean(axis=(0, 2, 3))
         var = xd.var(axis=(0, 2, 3))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * (n * h * w) / max(n * h * w - 1, 1)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var * (n * h * w) / max(n * h * w - 1, 1)
     else:
         mu = running_mean
         var = running_var
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (xd - mu.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
     gd = gamma.data.reshape(1, c, 1, 1)
     out = gd * xhat + beta.data.reshape(1, c, 1, 1)
@@ -739,13 +740,12 @@ def scan_seq(abar: np.ndarray, bu: np.ndarray, h0: np.ndarray | None = None,
 # -- parameters and modules ----------------------------------------------------
 
 class Parameter(Tensor):
-    """A named, trainable tensor reachable from a model's registry."""
+    """A trainable tensor reachable from a model's registry."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
     def __init__(self, data):
         super().__init__(data, requires_grad=True)
-        self.name = ""
 
 
 class Module:
@@ -770,9 +770,7 @@ class Module:
     def named_parameters(self, prefix: str = ""):
         for key, val in self.__dict__.items():
             if isinstance(val, Parameter):
-                name = f"{prefix}{key}"
-                val.name = name
-                yield name, val
+                yield f"{prefix}{key}", val
         for key, child in self._children():
             yield from child.named_parameters(f"{prefix}{key}.")
 
@@ -892,9 +890,8 @@ class Linear(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, *, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, channels: int):
         super().__init__()
-        self.momentum, self.eps = momentum, eps
         self.gamma = Parameter(np.ones(channels))
         self.beta = Parameter(np.zeros(channels))
         self.register_buffer("running_mean", np.zeros(channels))
@@ -902,5 +899,4 @@ class BatchNorm2d(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self._buffers["running_mean"],
-                          self._buffers["running_var"], training=self.training,
-                          momentum=self.momentum, eps=self.eps)
+                          self._buffers["running_var"], training=self.training)

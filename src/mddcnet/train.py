@@ -25,6 +25,14 @@ __all__ = ["TrainConfig", "LevelTargets", "assign_targets", "stack_targets",
 
 # sqrt(area) routing thresholds in pixels at 640-equivalent scale
 SIZE_ROUTING_THRESHOLDS = (32.0, 96.0)
+# images per forward of ``evaluate``
+EVAL_BATCH = 16
+# candidate cutoff of ``evaluate``, deliberately low (vs 0.25 for deployment
+# decoding): mAP is ranking-based, and a high cutoff silently discards
+# correct low-confidence boxes early in training
+EVAL_SCORE_THRESHOLD = 0.05
+# least share of its area a box keeps through ``_translate_scene``
+MIN_VISIBLE = 0.4
 
 
 @dataclass
@@ -249,25 +257,19 @@ def cosine_lr(step: int, total_steps: int, lr0: float, lr_final: float) -> float
     return lr_final + 0.5 * (lr0 - lr_final) * (1.0 + np.cos(np.pi * t))
 
 
-def evaluate(model: MddcNet, scenes: list[SynthScene], *,
-             batch: int = 16, score_threshold: float = 0.05) -> dict[str, float]:
-    """Validation mAP of a model over a scene list.
-
-    The candidate cutoff is deliberately low (0.05, vs 0.25 for deployment
-    decoding): mAP is ranking-based, and a high cutoff silently discards
-    correct low-confidence boxes early in training.
-    """
+def evaluate(model: MddcNet, scenes: list[SynthScene]) -> dict[str, float]:
+    """Validation mAP of a model over a scene list."""
     was_training = model.training
     model.eval()
     dtype = next(iter(model.parameters())).dtype
     preds, gts = [], []
     strides = model.cfg.strides
     with no_grad():
-        for i in range(0, len(scenes), batch):
-            chunk = scenes[i:i + batch]
+        for i in range(0, len(scenes), EVAL_BATCH):
+            chunk = scenes[i:i + EVAL_BATCH]
             x = Tensor(np.stack([s.image for s in chunk]).astype(dtype))
             preds.extend(decode_predictions(model(x), strides,
-                                            score_threshold=score_threshold))
+                                            score_threshold=EVAL_SCORE_THRESHOLD))
             gts.extend([s.annotations for s in chunk])
     model.train(was_training)
     return compute_map(preds, gts)
@@ -280,12 +282,11 @@ def _hflip_scene(img: np.ndarray, anns: list, size: int):
     return img, anns
 
 
-def _translate_scene(img: np.ndarray, anns: list, dy: int, dx: int, size: int,
-                     min_visible: float = 0.4):
+def _translate_scene(img: np.ndarray, anns: list, dy: int, dx: int, size: int):
     """Shift an image by whole pixels, filling vacated strips with the image
     mean; boxes follow, clipped to the frame.
 
-    Boxes that end up degenerate or less than ``min_visible`` of their
+    Boxes that end up degenerate or less than MIN_VISIBLE of their
     original area are dropped (a mostly-off-screen object is not a usable
     training target).
     """
@@ -302,7 +303,7 @@ def _translate_scene(img: np.ndarray, anns: list, dy: int, dx: int, size: int,
         if cb[2] - cb[0] < 2 or cb[3] - cb[1] < 2:
             continue
         if ((cb[2] - cb[0]) * (cb[3] - cb[1])
-                < min_visible * (nb[2] - nb[0]) * (nb[3] - nb[1])):
+                < MIN_VISIBLE * (nb[2] - nb[0]) * (nb[3] - nb[1])):
             continue
         out.append((c, cb))
     return canvas, out

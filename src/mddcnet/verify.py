@@ -22,11 +22,11 @@ from functools import partial
 import numpy as np
 
 from .tensor import Tensor, Conv2d, concat, conv2d, no_grad
-from .msddc import Msddc, MsddcConfig, bilinear_sample, deform_dilated_conv
+from .msddc import Msddc, bilinear_sample, deform_dilated_conv
 from .ssm import (MambaBlock, MambaBlockConfig, _chunk_len, discretize_zoh,
                   selective_scan, selective_scan_ref)
 from .ffn_attn import (CeFfn, Csca, FFN_KINDS, NECK_ATTENTION_KINDS, Mlca,
-                       ScaleCalibration, SpatialAttention, make_ffn)
+                       SC_POOL_SIZES, ScaleCalibration, SpatialAttention, make_ffn)
 from .model import HeadLevel, MddcNet, count_params, decode_boxes, encode_box, \
     estimate_flops, variant_config
 from .eval import Detection, average_precision, box_iou, compute_map, nms
@@ -94,10 +94,10 @@ def check_msddc_zero_offset_matches_dilated(rng) -> str:
 def check_msddc_fresh_module_matches_dilated(rng) -> str:
     """A freshly built block (offset conv zero-initialized) must reduce to the
     fuse of plain dilated convs: each ``branch{d}`` Conv2d called directly."""
-    m = Msddc(MsddcConfig(3, 5), rng)
+    m = Msddc(3, 5, 5, (1, 2, 4), rng)
     x = Tensor(rng.standard_normal((2, 3, 9, 9)))
     got = m(x)
-    outs = [getattr(m, f"branch{d}")(x) for d in m.cfg.dilations]
+    outs = [getattr(m, f"branch{d}")(x) for d in m.dilations]
     ref = m.fuse(concat(outs, axis=1))
     err = _max_abs(got.data, ref.data)
     _require(err <= TOL_ORACLE, f"fresh module deviates from dilated convs by {err:.3e}")
@@ -106,7 +106,7 @@ def check_msddc_fresh_module_matches_dilated(rng) -> str:
 
 def check_msddc_param_count_example(rng) -> str:
     """Reference parameter count: 32->32 channels, three branches = 36050."""
-    m = Msddc(MsddcConfig(32, 32), rng)
+    m = Msddc(32, 32, 32, (1, 2, 4), rng)
     total = sum(p.size for _, p in m.named_parameters())
     _require(total == 36050, f"expected 36050 parameters, counted {total}")
     return "36050 parameters"
@@ -301,7 +301,7 @@ def check_ffn_identity_at_init(rng) -> str:
     ffn(x) == 0 and x + ffn(x) == x bitwise."""
     x = Tensor(rng.standard_normal((2, 5, 6, 6)))
     for kind in FFN_KINDS:
-        y = make_ffn(kind, 5, rng, expansion=2)(x)
+        y = make_ffn(kind, 5, rng)(x)
         _require(np.all(y.data == 0.0), f"{kind} not exactly zero at init")
         _require(np.array_equal((x + y).data, x.data),
                  f"{kind}: residual identity broken")
@@ -309,32 +309,30 @@ def check_ffn_identity_at_init(rng) -> str:
 
 
 def check_ffn_scalar_pipeline(rng) -> str:
-    """One-pixel, one-channel trace through the expand/local/global pipeline
+    """One-pixel, four-channel trace through the expand/local/global pipeline
     cross-checked against an independent closed-form recomputation."""
-    ffn = make_ffn("ce_ffn", 1, rng, expansion=4)
+    ffn = make_ffn("ce_ffn", 4, rng)
     for _, p in ffn.named_parameters():
         p.data = rng.standard_normal(p.data.shape) * 0.5
-    xval = 0.7
-    got = ffn(Tensor(np.full((1, 1, 1, 1), xval))).data.item()
+    xval = rng.standard_normal(4)
+    got = ffn(Tensor(xval.reshape(1, 4, 1, 1))).data.ravel()
 
     from math import erf
 
     def gelu(v):
         return v * 0.5 * (1.0 + np.vectorize(erf)(np.asarray(v) / np.sqrt(2.0)))
 
-    w_in = ffn.conv_in.weight.data[:, 0, 0, 0]
-    y = ffn.dw.weight.data[:, 0, 1, 1] * (w_in * xval + ffn.conv_in.bias.data) \
-        + ffn.dw.bias.data
-    y = gelu(y)
-    local = ffn.local_conv.weight.data[:, :, 0, 0] @ y + ffn.local_conv.bias.data
-    f_local = ffn.r.data * (y - gelu(local)) + y
-    gconv = ffn.global_conv.weight.data[:, :, 0, 0] @ y + ffn.global_conv.bias.data
-    f_global = 1.0 / (1.0 + np.exp(-gconv))
-    ref = (ffn.conv_out.weight.data[0, :, 0, 0] @ (f_global + f_local)
-           + ffn.conv_out.bias.data).item()
-    err = abs(got - ref)
+    def dense(conv, v):
+        return conv.weight.data[:, :, 0, 0] @ v + conv.bias.data
+
+    # a 1x1 input meets only the centre tap of the depthwise 3x3
+    y = gelu(ffn.dw.weight.data[:, 0, 1, 1] * dense(ffn.conv_in, xval)
+             + ffn.dw.bias.data)
+    f_local = ffn.r.data * (y - gelu(dense(ffn.local_conv, y))) + y
+    f_global = 1.0 / (1.0 + np.exp(-dense(ffn.global_conv, y)))
+    err = _max_abs(got, dense(ffn.conv_out, f_global + f_local))
     _require(err <= 1e-9, f"scalar pipeline off by {err:.3e}")
-    return f"err {err:.3e}"
+    return f"max err {err:.3e}"
 
 
 def check_attn_csca_identity_at_init(rng) -> str:
@@ -355,10 +353,10 @@ def check_attn_saturated_gates(rng) -> str:
     att.sa.conv.bias.data[:] = big                  # spatial gate -> 1
     att.mlca.mix_weight.data[:] = 0.0
     att.mlca.mix_bias.data[:] = big                 # channel gates -> 1
-    for s in att.sc.pool_sizes:
+    for s in SC_POOL_SIZES:
         conv = getattr(att.sc, f"conv{s}")
         conv.weight.data[:] = 0.0
-        conv.bias.data[:] = big / len(att.sc.pool_sizes)   # scale gate -> 1
+        conv.bias.data[:] = big / len(SC_POOL_SIZES)   # scale gate -> 1
     att.fuse.weight.data = rng.standard_normal(att.fuse.weight.shape) * 0.3
     x = Tensor(rng.standard_normal((1, 4, 6, 6)))
     got = att(x)
@@ -739,25 +737,24 @@ def _loss_cases(rng):
 # step projections) in roundoff, and central differences at an h large
 # enough to avoid that are off by their truncation error.
 GRAD_BLOCKS = {
-    "msddc": (_module_cases(lambda rng: Msddc(MsddcConfig(2, 3, branch_channels=2), rng),
+    "msddc": (_module_cases(lambda rng: Msddc(2, 3, 2, (1, 2, 4), rng),
                             [(1, 2, 4, 4), (2, 2, 3, 5), (1, 2, 5, 3)], scale=0.3),
               3e-6, "central"),
     "mamba": (_module_cases(lambda rng: MambaBlock(
-                  MambaBlockConfig(d_model=4, d_state=2, dt_rank=2), rng),
+                  MambaBlockConfig(d_model=4, d_state=2), rng),
                             [(1, 3, 4), (2, 5, 4), (1, 1, 4)], scale=0.2),
               3e-3, "five_point"),
-    "ce_ffn": (_module_cases(lambda rng: CeFfn(2, rng, expansion=2),
+    "ce_ffn": (_module_cases(lambda rng: CeFfn(2, rng),
                              [(1, 2, 3, 3), (2, 2, 2, 4), (1, 2, 4, 2)], scale=0.3),
                1e-4, "central"),
     "spatial_attention": (_module_cases(SpatialAttention,
                                         [(1, 2, 4, 4), (2, 3, 3, 3), (1, 1, 5, 4)]),
                           1e-4, "central"),
-    "mlca": (_module_cases(lambda rng: Mlca(grid=2),
-                           [(1, 2, 4, 4), (2, 3, 3, 5), (1, 1, 2, 2)], scale=0.3),
+    "mlca": (_module_cases(lambda rng: Mlca(),
+                           [(1, 2, 7, 10), (2, 3, 3, 5), (1, 1, 2, 2)], scale=0.3),
              1e-4, "central"),
-    "scale_calibration": (_module_cases(
-                              lambda rng: ScaleCalibration(2, rng, pool_sizes=(1, 2)),
-                              [(1, 2, 4, 4), (2, 2, 3, 3), (1, 2, 5, 2)]),
+    "scale_calibration": (_module_cases(lambda rng: ScaleCalibration(2, rng),
+                                        [(1, 2, 6, 4), (2, 2, 3, 3), (1, 2, 5, 2)]),
                           1e-4, "central"),
     "csca": (_module_cases(lambda rng: Csca(2, rng),
                            [(1, 2, 4, 4), (2, 2, 3, 3), (1, 2, 2, 5)], scale=0.3),

@@ -8,7 +8,7 @@ Tolerances are pinned here, not inherited from library defaults:
   C3  identity at initialization      bit-exact
   C4  parameter/FLOP budgets          within +/-25% of published totals
   C5  sequential scan cost            time(2L)/time(L) in [1.6, 2.6]
-                                      (median of 5 interleaved rounds)
+                                      (median of 15 interleaved rounds)
   C6  toy learning                    val mAP@50 >= MAP50_TARGET (5-seed mean)
                                       and single-batch overfit >= 90% loss cut
   C7  directional ablations           full model >= each ablation (5-seed mean)
@@ -41,7 +41,7 @@ ORACLE_TOL = 1e-10
 GRAD_TOL = 1e-4
 BUDGET_BAND = 0.25
 SCALING_BAND = (1.6, 2.6)
-SCALING_ROUNDS = 5
+SCALING_ROUNDS = 15
 MAP50_TARGET = None          # None until locked from a 5-seed calibration
 OVERFIT_CUT = 0.90
 ABLATION_SEEDS = (0, 1, 2, 3, 4)

@@ -86,8 +86,8 @@ def test_verify_reports_failure_by_name(capsys, monkeypatch):
     import mddcnet.msddc as msddc
     orig = msddc.Msddc.__init__
 
-    def broken(self, cfg, rng):
-        orig(self, cfg, rng)
+    def broken(self, cin, cout, cb, dilations, rng):
+        orig(self, cin, cout, cb, dilations, rng)
         self.offset_conv.weight.data = rng.standard_normal(
             self.offset_conv.weight.shape)
 

@@ -36,7 +36,7 @@ def test_make_ffn_rejects_unknown_kind():
 
 
 def test_ce_ffn_branch_shapes_and_nonidentity_after_nudge():
-    m = CeFfn(3, np.random.default_rng(8), expansion=2)
+    m = CeFfn(3, np.random.default_rng(8))
     m.conv_out.weight.data += 0.05
     x = Tensor(RNG.standard_normal((1, 3, 5, 5)))
     y = m(x)
@@ -45,10 +45,10 @@ def test_ce_ffn_branch_shapes_and_nonidentity_after_nudge():
 
 
 def test_vanilla_ffn_param_count():
-    m = VanillaFfn(4, RNG, expansion=2)
+    m = VanillaFfn(4, RNG)
     n = sum(p.data.size for p in m.parameters())
-    # 4->8 conv (32+8) plus 8->4 conv (32+4)
-    assert n == 76
+    # 4->4 conv (16+4) twice: the hidden width is FFN_EXPANSION = 1 times C
+    assert n == 40
 
 
 def test_spatial_attention_gate_is_bounded():
@@ -70,19 +70,19 @@ def test_mlca_identity_mix_on_uniform_map():
 
 
 def test_mlca_local_path_differs_from_global_on_structured_input(monkeypatch):
-    mlca = Mlca(grid=2)
-    x = np.zeros((1, 1, 8, 8))
-    x[..., :4] = 2.0            # left half hot
-    z = mlca(Tensor(x)).data    # mixed: the left cells' local gate is sigmoid(2)
+    mlca = Mlca()
+    x = np.zeros((1, 1, 10, 10))
+    x[..., :4] = 2.0            # left two 2-pixel grid columns hot
+    z = mlca(Tensor(x)).data    # mixed: the hot cells' local gate is sigmoid(2)
     monkeypatch.setattr(ffn_attn, "MLCA_BETA", 1.0)
-    y = mlca(Tensor(x)).data    # pure global: uniform gate sigmoid(mean) = sigmoid(1)
-    sig1, sig2 = 1.0 / (1.0 + np.exp(-1.0)), 1.0 / (1.0 + np.exp(-2.0))
-    assert np.allclose(y[0, 0, :, :4], 2.0 * sig1)
-    assert np.allclose(z[0, 0, :, :4], 2.0 * (0.5 * sig1 + 0.5 * sig2))
+    y = mlca(Tensor(x)).data    # pure global: uniform gate sigmoid(mean) = sigmoid(0.8)
+    sig08, sig2 = 1.0 / (1.0 + np.exp(-0.8)), 1.0 / (1.0 + np.exp(-2.0))
+    assert np.allclose(y[0, 0, :, :4], 2.0 * sig08)
+    assert np.allclose(z[0, 0, :, :4], 2.0 * (0.5 * sig08 + 0.5 * sig2))
 
 
 def test_mlca_small_maps_clamp_grid():
-    mlca = Mlca(grid=5)
+    mlca = Mlca()
     y = mlca(Tensor(RNG.standard_normal((1, 3, 2, 2))))
     assert y.shape == (1, 3, 2, 2)
     with pytest.raises(ValueError):

@@ -156,3 +156,10 @@ def test_eval_mode_float32_model_stays_float32():
         preds = model(Tensor(RNG.random((1, 3, 64, 64)).astype(np.float32)))
     assert {t.dtype.name for level in preds for t in level} == {"float32"}
     assert {v.dtype.name for v in model.state_dict().values()} == {"float32"}
+
+
+def test_input_sides_must_be_multiples_of_32():
+    model = MddcNet(variant_config("n-toy"), np.random.default_rng(0))
+    for shape in ((1, 3, 48, 64), (1, 3, 64, 48)):
+        with pytest.raises(ValueError, match="multiple of 32"):
+            model(Tensor(np.zeros(shape)))

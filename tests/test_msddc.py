@@ -6,7 +6,7 @@ from scipy.sparse import csr_matrix
 
 from mddcnet.tensor import Tensor, conv2d
 from mddcnet.model import MddcNet, variant_config
-from mddcnet.msddc import (Msddc, MsddcConfig, bilinear_sample,
+from mddcnet.msddc import (Msddc, bilinear_sample,
                            deform_dilated_conv, _TAP_DX, _TAP_DY, _corners)
 from mddcnet.gradcheck import grad_check
 from mddcnet.verify import CHECKS
@@ -216,13 +216,13 @@ def test_offset_field_validation():
         with pytest.raises(ValueError):
             deform_dilated_conv(x, Tensor(np.zeros(shape)), w, None, 1)
     with pytest.raises(ValueError):
-        MsddcConfig(4, 4, dilations=(2, 1))
+        Msddc(4, 4, 4, (2, 1), RNG)
     with pytest.raises(ValueError):
-        MsddcConfig(4, 4, dilations=())
+        Msddc(4, 4, 4, (), RNG)
 
 
 def test_module_output_shape_and_param_paths():
-    m = Msddc(MsddcConfig(3, 6, branch_channels=4), RNG)
+    m = Msddc(3, 6, 4, (1, 2, 4), RNG)
     y = m(Tensor(RNG.standard_normal((2, 3, 8, 8))))
     assert y.shape == (2, 6, 8, 8)
     names = {n for n, _ in m.named_parameters()}

@@ -166,7 +166,7 @@ def test_selective_scan_gradients():
 
 def test_config_validation():
     cfg = MambaBlockConfig(d_model=64)
-    assert cfg.d_inner == 128 and cfg.resolved_dt_rank() == 8
+    assert cfg.d_inner == 128 and cfg.dt_rank == 8
 
 
 def test_block_is_noop_at_init():

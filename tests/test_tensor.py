@@ -1,6 +1,7 @@
 """Autodiff core: forward semantics against naive references, gradients
 against central differences."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -19,8 +20,9 @@ from mddcnet.tensor import (Tensor, Module, Parameter, kaiming_uniform,
                             batch_norm, bilinear_resize, Conv2d, Linear,
                             BatchNorm2d, no_grad)
 from mddcnet.gradcheck import grad_check
-from mddcnet.msddc import bilinear_sample
-from mddcnet.ffn_attn import make_ffn
+from mddcnet.msddc import Msddc, bilinear_sample
+from mddcnet.ssm import MambaBlockConfig
+from mddcnet.ffn_attn import CeFfn, Mlca, ScaleCalibration, VanillaFfn, make_ffn
 
 RNG = np.random.default_rng(0)
 
@@ -180,10 +182,9 @@ def test_broadcasting_gradients():
 def test_ndarray_interop_dispatches_to_tensor():
     t = Tensor(np.ones((2, 2)), requires_grad=True)
     arr = np.full((2, 2), 3.0)
-    for out in (arr + t, t + arr, arr - t, arr * t, arr / t):
+    for out in (arr + t, t + arr, arr - t, arr * t):
         assert isinstance(out, Tensor)
     assert np.all((arr - t).data == 2.0)
-    assert np.all((arr / t).data == 3.0)
 
 
 @pytest.mark.parametrize("unary", ["exp", "expm1", "sigmoid", "silu", "gelu",
@@ -633,3 +634,23 @@ def test_precision_is_no_constructor_argument():
                                             kaiming_uniform, make_ffn)
                    if "dtype" in inspect.signature(f).parameters]
     assert takes_dtype == []
+
+
+def test_blocks_take_no_construction_knob():
+    # every block takes its widths from the variant and fixes the rest as
+    # module constants: a parameter or config field that only tests would
+    # set is a knob that does nothing in the program
+    expected = {
+        CeFfn: ["channels", "rng"],
+        VanillaFfn: ["channels", "rng"],
+        make_ffn: ["kind", "channels", "rng"],
+        Mlca: [],
+        ScaleCalibration: ["channels", "rng"],
+        BatchNorm2d: ["channels"],
+        batch_norm: ["x", "gamma", "beta", "running_mean", "running_var", "training"],
+        Msddc: ["in_channels", "out_channels", "branch_channels", "dilations", "rng"],
+    }
+    for f, names in expected.items():
+        assert list(inspect.signature(f).parameters) == names, f.__qualname__
+    assert [f.name for f in dataclasses.fields(MambaBlockConfig)] == ["d_model",
+                                                                     "d_state"]
