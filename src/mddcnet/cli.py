@@ -1,5 +1,5 @@
 """Command-line entry point: verification (gradient checks included), budget
-reports, toy training, inference, and scan benchmarks.
+reports, toy training and inference.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 """
@@ -20,14 +20,12 @@ from .eval import decode_predictions
 from .ffn_attn import FFN_KINDS, NECK_ATTENTION_KINDS
 from .model import (BUDGET_TARGETS, MddcNet, VARIANT_NAMES, check_input_size,
                     count_params, estimate_flops, variant_config)
-from .ssm import MambaBlock, MambaBlockConfig, scan_scaling
 from .tensor import Tensor, bilinear_resize, no_grad
 from .train import TrainConfig, train_loop
 from .verify import default_seed, run_checks
 
 __all__ = ["main"]
 
-SCALING_BAND = (1.6, 2.6)       # accepted time(2L)/time(L) of the scan
 _PRECISIONS = {"f32": np.float32, "f64": np.float64}
 
 
@@ -234,40 +232,6 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    try:
-        lengths = [int(v) for v in _csv_tuple(args.lengths)]
-    except ValueError:
-        lengths = []
-    if not lengths or min(lengths) < 1:
-        raise UsageError(f"--lengths must be comma-separated positive integers, "
-                         f"got {args.lengths!r}")
-    if args.d_inner < 2 or args.d_inner % 2:
-        raise UsageError(f"--d-inner must be a positive even number, got {args.d_inner}")
-    if args.d_state < 1:
-        raise UsageError(f"--d-state must be at least 1, got {args.d_state}")
-    if args.reps < 1:
-        raise UsageError(f"--reps must be at least 1, got {args.reps}")
-    rng = np.random.default_rng(args.seed)
-    # the timed scan depends on D_inner alone
-    scfg = MambaBlockConfig(d_model=args.d_inner // 2, d_state=args.d_state)
-    block = MambaBlock(scfg, rng)
-    times, ratios = scan_scaling(block, lengths, args.reps, rng)
-    print(f"selective scan, D_inner={scfg.d_inner}, S={args.d_state}, "
-          f"BLAS threads {blas_threads() or '?'}, "
-          f"median of {args.reps} interleaved rounds")
-    print(f"{'L':>8}{'seq ns/op':>14}")
-    for length in lengths:
-        print(f"{length:>8}{1e9 * times[length] / (length * scfg.d_inner):>14.1f}")
-    print(f"{'L -> 2L':>12}{'seq ratio':>12}")
-    for length, r in ratios.items():
-        print(f"{length:>5}->{2 * length:<6}{r:>11.2f}")
-    ok = all(SCALING_BAND[0] <= r <= SCALING_BAND[1] for r in ratios.values())
-    print("sequential scaling is linear" if ok
-          else f"sequential scaling OUTSIDE the linear band {list(SCALING_BAND)}")
-    return 0 if ok else 1
-
-
 # -- BLAS threads ----------------------------------------------------------------
 
 def _openblas_function(names: tuple[str, ...]):
@@ -292,16 +256,6 @@ def set_blas_threads(n: int) -> bool:
     fn.argtypes, fn.restype = [ctypes.c_int], None
     fn(n)
     return True
-
-
-def blas_threads() -> int | None:
-    """The thread count of numpy's OpenBLAS, or None if it cannot be found."""
-    fn = _openblas_function(("scipy_openblas_get_num_threads64_",
-                             "scipy_openblas_get_num_threads"))
-    if fn is None:
-        return None
-    fn.argtypes, fn.restype = [], ctypes.c_int
-    return fn()
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -367,14 +321,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--score-threshold", type=float, default=0.25)
     p.set_defaults(fn=cmd_infer)
 
-    p = sub.add_parser("bench", parents=[shared],
-                       help="selective-scan timing and L-scaling table")
-    p.add_argument("--lengths", default="1024,2048,4096,8192")
-    p.add_argument("--d-inner", type=int, default=64)
-    p.add_argument("--d-state", type=int, default=16)
-    p.add_argument("--reps", type=int, default=5,
-                   help="interleaved timing rounds; medians are reported")
-    p.set_defaults(fn=cmd_bench)
     return parser, sub.choices
 
 

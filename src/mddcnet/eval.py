@@ -16,8 +16,8 @@ __all__ = ["box_iou", "nms", "average_precision", "compute_map",
            "decode_predictions", "MAP_THRESHOLDS"]
 
 MAP_THRESHOLDS = tuple(np.round(np.arange(0.5, 0.96, 0.05), 2))
-# NMS overlap limit and per-image detection cap of decoded predictions
-DECODE_IOU_THRESHOLD = 0.45
+# NMS overlap limit, and per-image detection cap of decoded predictions
+NMS_IOU_THRESHOLD = 0.45
 MAX_DETECTIONS = 100
 
 
@@ -35,15 +35,14 @@ def _det_order_key(d: Detection):
     return (-d.score, d.class_id, d.box)
 
 
-def nms(detections: list[Detection], iou_threshold: float = 0.45,
-        score_threshold: float = 0.25) -> list[Detection]:
+def nms(detections: list[Detection], score_threshold: float = 0.25) -> list[Detection]:
     """Per-class greedy suppression by descending score."""
     kept: list[Detection] = []
     pool = sorted((d for d in detections if d.score >= score_threshold),
                   key=_det_order_key)
     for cand in pool:
         if all(k.class_id != cand.class_id
-               or box_iou(k.box, cand.box) <= iou_threshold for k in kept):
+               or box_iou(k.box, cand.box) <= NMS_IOU_THRESHOLD for k in kept):
             kept.append(cand)
     return kept
 
@@ -141,6 +140,6 @@ def decode_predictions(raw_levels, strides,
                 for k, y, x in zip(ks, ys, xs):
                     dets.append(Detection(int(k), float(score[k, y, x]),
                                           tuple(float(v) for v in boxes[:, y, x])))
-            kept = nms(dets, DECODE_IOU_THRESHOLD, score_threshold)
+            kept = nms(dets, score_threshold)
             out.append(kept[:MAX_DETECTIONS])
         return out

@@ -10,16 +10,15 @@ token-outer chunks and recomputes each chunk's states in backward;
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, Module, Parameter, Linear, concat, no_grad,
-                     conv3_seq, scan_seq, flatten_hw, unflatten_hw, kaiming_uniform)
+from .tensor import (Tensor, Module, Parameter, Linear, concat, conv3_seq,
+                     scan_seq, flatten_hw, unflatten_hw, kaiming_uniform)
 
 __all__ = ["MambaBlockConfig", "discretize_zoh", "selective_scan",
-           "selective_scan_ref", "scan_scaling", "MambaBlock", "MambaBlock2d"]
+           "selective_scan_ref", "MambaBlock", "MambaBlock2d"]
 
 _SERIES_EPS = 1e-6
 # Elements of one [T, N, S, D] working array of the fused scan, which sets
@@ -214,34 +213,6 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
         return gu, gdelta, ga, gb, gc, gskip
 
     return Tensor._node(y, (u, delta, a, b, c, d_skip), back)
-
-
-def scan_scaling(block: MambaBlock, lengths, rounds: int,
-                 rng: np.random.Generator) -> tuple[dict, dict]:
-    """Wall-clock cost of ``selective_scan`` under no_grad at each sequence
-    length, with inputs from the scan parameters of ``block`` and batch 1.
-
-    Every round times each length once, so a slow spell of the machine
-    falls on neighbouring lengths alike. Returns the median seconds per
-    length, and for each L whose double 2L is also timed the median over
-    rounds of that round's time(2L)/time(L).
-    """
-    di = block.cfg.d_inner
-    inputs = {}
-    with no_grad():
-        for length in lengths:
-            u = Tensor(rng.standard_normal((1, length, di)))
-            inputs[length] = block._scan_inputs(u)
-            selective_scan(*inputs[length])                 # warm up
-        times = {length: [] for length in lengths}
-        for _ in range(max(1, rounds)):
-            for length in lengths:
-                t0 = time.perf_counter()
-                selective_scan(*inputs[length])
-                times[length].append(time.perf_counter() - t0)
-    ratios = {length: float(np.median(np.divide(times[2 * length], times[length])))
-              for length in lengths if 2 * length in times}
-    return {length: float(np.median(ts)) for length, ts in times.items()}, ratios
 
 
 class MambaBlock(Module):

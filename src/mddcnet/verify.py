@@ -29,7 +29,8 @@ from .ffn_attn import (CeFfn, Csca, FFN_KINDS, NECK_ATTENTION_KINDS, Mlca,
                        SC_POOL_SIZES, ScaleCalibration, SpatialAttention, make_ffn)
 from .model import HeadLevel, MddcNet, count_params, decode_boxes, encode_box, \
     estimate_flops, variant_config
-from .eval import Detection, average_precision, box_iou, compute_map, nms
+from .eval import (NMS_IOU_THRESHOLD, Detection, average_precision, box_iou,
+                   compute_map, nms)
 from .train import assign_targets, detection_loss, stack_targets
 from .data import generate_scene
 from .gradcheck import grad_check
@@ -512,8 +513,8 @@ def check_eval_nms_matches_bruteforce(rng) -> str:
     """Greedy NMS equals an independent quadratic reference, exactly."""
     for trial in range(10):
         dets = _random_detections(rng, int(rng.integers(0, 40)))
-        got = nms(dets, 0.45, 0.25)
-        ref = _brute_nms(dets, 0.45, 0.25)
+        got = nms(dets, 0.25)
+        ref = _brute_nms(dets, NMS_IOU_THRESHOLD, 0.25)
         _require(got == ref, f"NMS deviates from brute force on trial {trial}")
     return "10 random pools, exact match"
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, fault injection, and the
 checkpoint train -> infer round trip."""
 
+import ctypes
 import json
 import os
 import subprocess
@@ -293,7 +294,6 @@ OPTIONS = {
                                      "--early-stop-map"},
     "infer": SHARED | MODEL | RUN | {"--checkpoint", "--input-size",
                                      "--score-threshold"},
-    "bench": SHARED | {"--lengths", "--d-inner", "--d-state", "--reps"},
 }
 
 
@@ -309,13 +309,21 @@ def test_each_subcommand_accepts_the_options_it_reads():
                                   ["report", "--precision", "f32"],
                                   ["report", "--seed", "1"],
                                   ["report", "--threads", "1"],
-                                  ["bench", "--out", "x"]])
+                                  ["verify", "--out", "x"]])
 def test_option_a_subcommand_does_not_read_is_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and argv[1] in err
+
+
+def test_deleted_bench_subcommand_is_an_invalid_choice(capsys):
+    # the scan-scaling check lives in acceptance gate C5 alone
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -457,32 +465,16 @@ def test_config_file_switch_takes_true_or_false(capsys, tmp_path, value):
         assert lines[0].startswith("PASS") and "checks passed" in lines[-1]
 
 
-# -- bench -----------------------------------------------------------------------
-
-def test_bench_small_lengths_report_ratios(capsys):
-    code, out, _ = run(capsys, "bench", "--lengths", "64,128",
-                       "--d-inner", "8", "--d-state", "2", "--reps", "1",
-                       "--seed", "0")
-    # tiny sizes may fall outside the linear band; only the format is checked
-    assert code in (0, 1)
-    assert "seq ns/op" in out and "64->128" in out.replace(" ", "")
-
-
-@pytest.mark.parametrize("flag, value", [("--lengths", "abc"), ("--lengths", "0"),
-                                         ("--d-state", "0"), ("--d-inner", "65"),
-                                         ("--reps", "0")])
-def test_bench_bad_flag_is_usage_error(capsys, flag, value):
-    # small sizes first, so that a flag that is not rejected still runs fast
-    code, out, err = run(capsys, "bench", "--lengths", "64,128", "--d-inner", "8",
-                         "--d-state", "2", "--reps", "1", "--seed", "0", flag, value)
-    assert code == 2 and "usage error" in err and flag in err and not out
-
+# -- BLAS threads ----------------------------------------------------------------
 
 def test_threads_flag_pins_blas_and_is_read_back(capsys):
-    from mddcnet.cli import blas_threads, set_blas_threads
-    before = blas_threads()
-    if before is None:
+    from mddcnet.cli import _openblas_function, set_blas_threads
+    blas_threads = _openblas_function(("scipy_openblas_get_num_threads64_",
+                                       "scipy_openblas_get_num_threads"))
+    if blas_threads is None:
         pytest.skip("numpy's BLAS is not an OpenBLAS with thread control")
+    blas_threads.argtypes, blas_threads.restype = [], ctypes.c_int
+    before = blas_threads()
     try:
         code, _, err = run(capsys, "verify", "--filter", "ssm.zoh", "--threads", "2")
         assert code == 0 and "warning" not in err

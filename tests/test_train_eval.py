@@ -323,7 +323,7 @@ def test_nms_suppresses_within_class_only():
             Detection(0, 0.8, (1, 1, 11, 11)),     # IoU ~0.68 with first
             Detection(1, 0.7, (0, 0, 10, 10)),     # other class survives
             Detection(0, 0.6, (30, 30, 40, 40))]
-    kept = nms(dets, iou_threshold=0.45, score_threshold=0.25)
+    kept = nms(dets, score_threshold=0.25)
     assert [(d.class_id, d.score) for d in kept] == [(0, 0.9), (1, 0.7),
                                                      (0, 0.6)]
 
