@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (Tensor, Module, Parameter, Linear, concat, conv3_seq,
-                     scan_seq, flatten_hw, unflatten_hw, kaiming_uniform)
+                     scan_seq, silu_gate, flatten_hw, unflatten_hw,
+                     kaiming_uniform)
 
 __all__ = ["MambaBlockConfig", "discretize_zoh", "selective_scan",
            "selective_scan_ref", "MambaBlock", "MambaBlock2d"]
@@ -134,7 +135,8 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
     and state-major: each step of the recurrence and each token's outer
     product, readout and reduction works on one contiguous [N, S, D] slice,
     and the wide D is the contiguous axis of every broadcast and every sum
-    over S.
+    over S. Backward keeps the token-major copies of Δ, B and C but rebuilds
+    u's from u, which the projections that read u hold anyway.
     """
     ud, dd, ad, bd, cd, skd = (t.data for t in (u, delta, a, b, c, d_skip))
     if np.any(dd <= 0):
@@ -162,7 +164,7 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
     y += ud * skd
 
     def back(g):
-        (gt,) = _swap_leading(g)
+        gt, ut = _swap_leading(g, ud)
         gu = gt * skd
         gdelta = np.empty_like(gu)
         gb = np.empty((l, n, s), dtype=dtype)
@@ -258,7 +260,7 @@ class MambaBlock(Module):
         u, gate = proj[:, :, :di], proj[:, :, di:]
         u = conv3_seq(u, self.conv_weight, self.conv_bias).silu()
         y = selective_scan(*self._scan_inputs(u))
-        return self.out_proj(y * gate.silu())
+        return self.out_proj(silu_gate(y, gate))
 
 
 class MambaBlock2d(Module):

@@ -13,6 +13,8 @@ never a Tensor. So the tape holds just the arrays some closure reads; an op
 output no closure reads is freed as soon as the forward code drops it.
 ``backward()`` consumes its graph, freeing each node's arrays once the node
 has run; a second backward through the same graph raises RuntimeError.
+An activation holds one array per input: ``gelu`` its derivative, ``silu``
+its input, and ``silu_gate`` (y·silu(gate) as one node) its two inputs.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "bilinear_resize",
     "conv3_seq",
     "scan_seq",
+    "silu_gate",
 ]
 
 # Python floats, so that NumPy-2 promotion keeps float32 arrays float32
@@ -303,21 +306,25 @@ class Tensor:
         return Tensor._node(out, (self,), lambda g: (g * out * (1.0 - out),))
 
     def silu(self):
+        """x·σ(x); backward holds only x and recomputes σ(x)."""
         d = self.data
-        s = _expit(d)
-        return Tensor._node(d * s, (self,), lambda g: (g * s * (1.0 + d * (1.0 - s)),))
+
+        def back(g):
+            s = _expit(d)
+            return (g * s * (1.0 + d * (1.0 - s)),)
+
+        return Tensor._node(d * _expit(d), (self,), back)
 
     def gelu(self):
-        """Exact GELU: x * Phi(x) with the Gaussian CDF via erf."""
+        """Exact GELU: x * Phi(x) with the Gaussian CDF via erf. A recorded
+        node holds only the derivative Phi(x) + x·pdf(x), built in forward."""
         d = self.data
         phi = 0.5 * (1.0 + _erf(d / _SQRT2))
         out = d * phi
-
-        def back(g):
-            pdf = _INV_SQRT_2PI * np.exp(-0.5 * d * d)
-            return (g * (phi + d * pdf),)
-
-        return Tensor._node(out, (self,), back)
+        if not (_grad_enabled and self.requires_grad):
+            return Tensor(out)
+        dphi = phi + d * (_INV_SQRT_2PI * np.exp(-0.5 * d * d))
+        return Tensor._node(out, (self,), lambda g: (g * dphi,))
 
     def softplus(self):
         """log(1 + e^x) as max(x, 0) + log1p(e^-|x|): the formula of
@@ -464,6 +471,22 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
         lambda g: (_unbroadcast(g * mask, sa), _unbroadcast(g * ~mask, sb)))
 
 
+def silu_gate(y: Tensor, gate: Tensor) -> Tensor:
+    """y · silu(gate) as one node that holds y and gate and recomputes
+    σ(gate) in backward. Its expressions are those of ``y * gate.silu()``
+    in the same order, so output and gradients equal that composition's bit
+    for bit; both operands have one shape."""
+    yd, gd = y.data, gate.data
+    if yd.shape != gd.shape:
+        raise ValueError(f"silu_gate: shapes {yd.shape} and {gd.shape} differ")
+
+    def back(g):
+        s = _expit(gd)
+        return g * (gd * s), g * yd * s * (1.0 + gd * (1.0 - s))
+
+    return Tensor._node(yd * (gd * _expit(gd)), (y, gate), back)
+
+
 # -- image <-> token layout -------------------------------------------------
 
 def flatten_hw(x: Tensor) -> Tensor:
@@ -490,9 +513,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
            stride: int = 1, padding: int = 0, dilation: int = 1,
            groups: int = 1) -> Tensor:
     """Cross-correlation with zero padding (no kernel flip), one im2col
-    lowering for every ``groups``. Backward keeps only the padded input and
-    rebuilds ``cols`` from it bit for bit (op-level checkpointing), so a k×k
-    call's k²-sized copy lives only inside its forward or its backward."""
+    lowering for every ``groups``. Backward keeps only the unpadded input
+    and rebuilds the padded copy and ``cols`` from it bit for bit (op-level
+    checkpointing), so a k×k call's k²-sized copy lives only inside its
+    forward or its backward."""
     if stride < 1 or dilation < 1:
         raise ValueError("conv2d: stride and dilation must be positive")
     n, c, h, w = x.shape
@@ -507,12 +531,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         raise ValueError(f"conv2d: non-positive output size for input {h}x{w}")
 
     xd = x.data
-    if padding:
-        xd = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    s0, s1, s2, s3 = xd.strides
 
     def im2col():
-        view = as_strided(xd, (n, c, kh, kw, oh, ow),
+        xp = xd
+        if padding:     # zeros and one slice assignment: faster than np.pad
+            xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=xd.dtype)
+            xp[:, :, padding:padding + h, padding:padding + w] = xd
+        s0, s1, s2, s3 = xp.strides
+        view = as_strided(xp, (n, c, kh, kw, oh, ow),
                           (s0, s1, s2 * dilation, s3 * dilation, s2 * stride, s3 * stride))
         return np.ascontiguousarray(view).reshape(n, groups, cg * kh * kw, oh * ow)
 

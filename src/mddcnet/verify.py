@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .tensor import Tensor, Conv2d, concat, conv2d, no_grad
+from .tensor import Tensor, Conv2d, concat, conv2d, no_grad, silu_gate
 from .msddc import Msddc, bilinear_sample, deform_dilated_conv
 from .ssm import (MambaBlock, MambaBlockConfig, _chunk_len, discretize_zoh,
                   selective_scan, selective_scan_ref)
@@ -282,6 +282,26 @@ def check_ssm_frozen_scan_matches_conv(rng) -> str:
     err = _max_abs(y, ref)
     _require(err <= TOL_ORACLE, f"scan vs materialized kernel: {err:.3e}")
     return f"max err {err:.3e}"
+
+
+def check_ssm_silu_gate_matches_composition(rng) -> str:
+    """The fused gate ``silu_gate(y, gate)`` equals ``y * gate.silu()`` bit
+    for bit, in output and both gradients, in float64 and float32, with
+    gates from the saturated tails through zero."""
+    gate = np.concatenate([[0.0, -0.0, 1e-8, -1e-8, 40.0, -40.0, 800.0, -800.0],
+                           rng.standard_normal(24) * 5.0]).reshape(2, 4, 4)
+    y, coeff = rng.standard_normal((2, 2, 4, 4))
+    for dtype in (np.float64, np.float32):
+        runs = []
+        for fused in (True, False):
+            yt, gt = (Tensor(v.astype(dtype), requires_grad=True) for v in (y, gate))
+            out = silu_gate(yt, gt) if fused else yt * gt.silu()
+            (out * Tensor(coeff.astype(dtype))).sum().backward()
+            runs.append((out.data, yt.grad, gt.grad))
+        for what, got, ref in zip(("output", "dL/dy", "dL/dgate"), *runs):
+            _require(got.dtype == dtype and np.array_equal(got, ref),
+                     f"{np.dtype(dtype).name} {what} differs from y * gate.silu()")
+    return "output and both gradients bit-exact in float64 and float32"
 
 
 def check_ssm_mamba_identity_at_init(rng) -> str:
@@ -791,6 +811,7 @@ CHECKS = {
     "ssm.zoh_scalar": check_ssm_zoh_scalar,
     "ssm.impulse_response": check_ssm_impulse_response,
     "ssm.frozen_scan_matches_conv": check_ssm_frozen_scan_matches_conv,
+    "ssm.silu_gate_matches_composition": check_ssm_silu_gate_matches_composition,
     "ssm.mamba_identity_at_init": check_ssm_mamba_identity_at_init,
     "ffn.identity_at_init": check_ffn_identity_at_init,
     "ffn.scalar_pipeline": check_ffn_scalar_pipeline,

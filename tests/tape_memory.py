@@ -6,6 +6,8 @@ deduplicated by base array, with sparse matrices counted and parameters
 excluded.
 """
 
+from collections import Counter
+
 import numpy as np
 from scipy import sparse
 
@@ -60,3 +62,22 @@ def held_roots(fn, exclude):
             closures.add(id(value))
             stack.extend(c.cell_contents for c in value.__closure__)
     return held
+
+
+def op_name(fn) -> str:
+    """The op a backward closure belongs to: its qualname up to the first
+    '<locals>', e.g. 'conv2d' or 'Tensor.gelu'."""
+    return fn.__qualname__.split(".<locals>")[0]
+
+
+def held_bytes_by_op(loss, exclude) -> Counter:
+    """Bytes ``loss``'s graph holds for backward, by op name: each base array
+    is counted once, for the first op of the walk that holds it, so the
+    values add up to what the whole tape holds."""
+    by_op, seen = Counter(), set()
+    for fn in backward_closures(loss):
+        for key, arr in held_roots(fn, exclude).items():
+            if key not in seen:
+                seen.add(key)
+                by_op[op_name(fn)] += arr.nbytes
+    return by_op

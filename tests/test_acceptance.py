@@ -52,6 +52,7 @@ _ORACLE_CHECKS = (
     "msddc.zero_offset_matches_dilated",
     "ssm.par_matches_seq",
     "ssm.frozen_scan_matches_conv",
+    "ssm.silu_gate_matches_composition",
     "model.neck_zero_init_fpn",
     "eval.nms_matches_bruteforce",
     "eval.map_matches_bruteforce",

@@ -4,6 +4,7 @@ against central differences."""
 import dataclasses
 import importlib
 import inspect
+import math
 import pkgutil
 import warnings
 import weakref
@@ -11,6 +12,7 @@ import weakref
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 import pytest
+from scipy.special import erf, expit
 
 import mddcnet
 from mddcnet.tensor import (Tensor, Module, Parameter, kaiming_uniform,
@@ -194,6 +196,46 @@ def test_unary_gradients(unary):
     coeff = RNG.standard_normal((3, 3))
     rep = grad_check(lambda: (getattr(x, unary)() * coeff).sum(), [("x", x)])
     assert max(rep.values()) < 1e-6
+
+
+def silu_keeping_s(x):
+    """The slow reference for silu's backward rebuild: σ(x) kept alive from
+    forward until backward."""
+    d = x.data
+    s = expit(d)
+    return Tensor._node(d * s, (x,), lambda g: (g * s * (1.0 + d * (1.0 - s)),))
+
+
+def gelu_keeping_phi(x):
+    """The slow reference for gelu's one held array: Φ(x) and x kept alive
+    from forward, the derivative formed in backward."""
+    d = x.data
+    phi = 0.5 * (1.0 + erf(d / math.sqrt(2.0)))
+
+    def back(g):
+        pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * d * d)
+        return (g * (phi + d * pdf),)
+
+    return Tensor._node(d * phi, (x,), back)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("op,ref", [("silu", silu_keeping_s), ("gelu", gelu_keeping_phi)])
+def test_activation_holding_one_array_equals_kept_arrays(op, ref, dtype):
+    # the one held array gives the same expressions in the same order, so
+    # output and input gradient are equal bit for bit
+    grid = np.concatenate([[0.0, -0.0, 1e-8, -1e-8, 1.0, -1.0, 10.0, -10.0, 40.0, -40.0],
+                           np.random.default_rng(6).standard_normal(40) * 3.0])
+    coeff = Tensor(np.random.default_rng(7).standard_normal(grid.shape).astype(dtype))
+    results = []
+    for fn in (ref, lambda t: getattr(t, op)()):
+        x = Tensor(grid.astype(dtype), requires_grad=True)
+        out = fn(x)
+        (out * coeff).sum().backward()
+        results.append((out.data, x.grad))
+    for kept, new in zip(*results):
+        assert new.dtype == dtype
+        assert np.array_equal(kept, new)
 
 
 def test_logistic_is_finite_and_matches_masked_form_at_extremes():
@@ -558,13 +600,14 @@ def test_conv_output_feeding_batch_norm_is_freed_when_dropped():
 
 
 def test_arrays_a_closure_read_are_freed_after_backward():
+    # gelu's node holds one array, its derivative
     x = Tensor(RNG.standard_normal(5), requires_grad=True)
     y = (x * 2.0).gelu()
     refs = [weakref.ref(c.cell_contents) for c in y._backward.__closure__
             if isinstance(c.cell_contents, np.ndarray)]
     loss = y.sum()
     del y
-    assert len(refs) == 2 and all(r() is not None for r in refs)
+    assert len(refs) == 1 and all(r() is not None for r in refs)
     loss.backward()
     assert all(r() is None for r in refs)
 

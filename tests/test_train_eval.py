@@ -2,11 +2,13 @@
 generator's determinism."""
 
 import gc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from mddcnet.tensor import Tensor
+from mddcnet import ssm
+from mddcnet.tensor import Tensor, conv2d
 from mddcnet.model import Detection, MddcNet, variant_config, encode_box
 from mddcnet.data import generate_scene, generate_split, NUM_CLASSES
 from mddcnet.train import (Sgd, TrainConfig, assign_targets, cosine_lr,
@@ -16,7 +18,8 @@ from mddcnet.eval import (average_precision, box_iou, compute_map,
                           decode_predictions, nms)
 from mddcnet.verify import CHECKS
 
-from tape_memory import backward_closures, free_vars, held_roots, n_toy_loss
+from tape_memory import (backward_closures, free_vars, held_bytes_by_op, held_roots,
+                         n_toy_loss, op_name)
 
 RNG = np.random.default_rng(8)
 
@@ -262,9 +265,10 @@ def test_tape_closures_capture_no_tensor():
 
 
 def test_conv2d_backward_holds_no_im2col_copy():
-    # a conv's backward keeps its padded input and rebuilds the k²-times
-    # larger im2col matrix, so what one conv2d node holds is at most that
-    # input plus its weight: a kept im2col copy would break the bound
+    # a conv's backward keeps its unpadded input and rebuilds the padded
+    # copy and the k²-times larger im2col matrix, so what one conv2d node
+    # holds is at most that input plus its weight: a kept padded or im2col
+    # copy would break the bound
     model = MddcNet(variant_config("n-toy"), np.random.default_rng(0))
     params = {id(p.data) for p in model.parameters()}
     convs = 0
@@ -272,13 +276,58 @@ def test_conv2d_backward_holds_no_im2col_copy():
         if fn.__qualname__ != "conv2d.<locals>.back":
             continue
         free = free_vars(fn)
-        n, c, h, w, pad = (free[k] for k in ("n", "c", "h", "w", "padding"))
-        padded = n * c * (h + 2 * pad) * (w + 2 * pad)
+        n, c, h, w = (free[k] for k in ("n", "c", "h", "w"))
         weight = np.prod(free["wshape"])
         held = sum(a.nbytes for a in held_roots(fn, params).values())
-        assert held <= (padded + weight) * free["w2"].itemsize, free["wshape"]
+        assert held <= (n * c * h * w + weight) * free["w2"].itemsize, free["wshape"]
         convs += 1
     assert convs > 30
+    # the input it holds is the input array itself, not a copy
+    x = Tensor(RNG.standard_normal((2, 3, 5, 5)), requires_grad=True)
+    weight = Tensor(RNG.standard_normal((4, 3, 3, 3)))
+    out = conv2d(x, weight, padding=1)
+    (held,) = held_roots(out._backward, {id(weight.data)}).values()
+    assert held is x.data
+
+
+def test_activations_hold_one_array_per_input(monkeypatch):
+    # each gelu and silu node holds one array of its input's size, a
+    # silu_gate node its two inputs, and the scan no token-major copy of u:
+    # the per-op totals are then exactly the bytes the ops were called on
+    called = Counter()
+
+    def spy(owner, name, operands):
+        orig = getattr(owner, name)
+
+        def wrapper(*args):
+            called[name] += sum(a.data.nbytes for a in args[:operands])
+            return orig(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(Tensor, "gelu", 1)
+    spy(Tensor, "silu", 1)
+    spy(ssm, "silu_gate", 2)
+    model = MddcNet(variant_config("n-toy"), np.random.default_rng(0))
+    params = {id(p.data) for p in model.parameters()}
+    loss = n_toy_loss(model)
+    counts = Counter()
+    for fn in backward_closures(loss):
+        op, held = op_name(fn), held_roots(fn, params)
+        counts[op] += 1
+        if op in ("Tensor.gelu", "Tensor.silu"):
+            assert len(held) == 1, op
+        elif op == "silu_gate":
+            assert len(held) == 2, op
+        elif op == "selective_scan":
+            ut = free_vars(fn)["ud"].transpose(1, 0, 2)
+            assert not any(np.array_equal(a, ut) for a in held.values())
+    by_op = held_bytes_by_op(loss, params)
+    assert counts["silu_gate"] >= 2 and counts["selective_scan"] == counts["silu_gate"]
+    # silu's input is the width-3 conv's output, which no other op holds
+    for op, name in (("Tensor.gelu", "gelu"), ("Tensor.silu", "silu"),
+                     ("silu_gate", "silu_gate")):
+        assert by_op[op] == called[name], op
 
 
 def test_training_frees_its_tape_by_reference_counting():
