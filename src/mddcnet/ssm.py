@@ -6,20 +6,24 @@ then rolled out as the linear recurrence h_t = Ā_t h_{t-1} + B̄_t u_t.
 ``selective_scan`` is one fused tape node that walks the sequence in
 token-outer chunks and recomputes each chunk's states in backward;
 ``selective_scan_ref``, the same scan composed from taped ops, is its oracle.
+``MambaBlock`` is one tape node too, running the scan's array kernels, and
+``mamba_block_ref``, the block composed from taped ops, is its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.special import expit as _expit
 
 from .tensor import (Tensor, Module, Parameter, Linear, concat, conv3_seq,
-                     scan_seq, silu_gate, flatten_hw, unflatten_hw,
-                     kaiming_uniform)
+                     scan_seq, flatten_hw, unflatten_hw, kaiming_uniform,
+                     _conv3, _conv3_back, _matmul_back, _softplus, _unbroadcast)
 
 __all__ = ["MambaBlockConfig", "discretize_zoh", "selective_scan",
-           "selective_scan_ref", "MambaBlock", "MambaBlock2d"]
+           "selective_scan_ref", "MambaBlock", "mamba_block_ref", "MambaBlock2d"]
 
 _SERIES_EPS = 1e-6
 # Elements of one [T, N, S, D] working array of the fused scan, which sets
@@ -114,8 +118,117 @@ def _zoh_chunk(dd, at, inv_a, bd, ud, small, out):
 
 def _swap_leading(*arrays):
     """Contiguous copies of 3-D arrays with their two leading axes swapped:
-    [N, L, ·] batch-major to [L, N, ·] token-major, and back."""
+    [N, L, ·] batch-major to [L, N, ·] token-major."""
     return [np.ascontiguousarray(x.transpose(1, 0, 2)) for x in arrays]
+
+
+def _tokens(x: np.ndarray, sl: slice) -> np.ndarray:
+    """Contiguous token-major copy [T, N, ·] of the tokens ``sl`` of a
+    batch-major [N, L, ·] array."""
+    return np.ascontiguousarray(x[:, sl].transpose(1, 0, 2))
+
+
+class _ScanSaved(NamedTuple):
+    """What the fused scan's backward reads besides g, u, A and D: the
+    token-major Δ, B and C ([L, N, ·]), the state at each chunk start
+    ([chunks, N, S, D]), and whether any Δ·A takes the series branch."""
+    dt: np.ndarray
+    bt: np.ndarray
+    ct: np.ndarray
+    h_start: np.ndarray
+    small: bool
+
+
+def _scan_setup(ad: np.ndarray, dtype, n: int, l: int, d: int):
+    """A and 1/A as [S, D] in ``dtype``, and the fused scan's chunk slices."""
+    at = np.ascontiguousarray(ad.T, dtype=dtype)
+    tc = min(_chunk_len(n, at.shape[0], d), l)
+    return at, 1.0 / at, [slice(t0, t0 + tc) for t0 in range(0, l, tc)]
+
+
+def _scan_forward(ud, dd, ad, bd, cd, skd) -> tuple[np.ndarray, _ScanSaved]:
+    """``selective_scan`` on arrays: y and what its backward reads."""
+    if np.any(dd <= 0):
+        raise ValueError("selective_scan: step sizes must be strictly positive")
+    n, l, d = ud.shape
+    s = ad.shape[1]
+    dtype = np.result_type(ud, dd, ad, bd, cd, skd)
+    at, inv_a, chunks = _scan_setup(ad, dtype, n, l, d)
+    small = bool((dd * np.abs(ad).min(axis=1)).min() < _SERIES_EPS)
+    dt, bt, ct = _swap_leading(dd, bd, cd)
+    h_start = np.zeros((len(chunks), n, s, d), dtype=dtype)
+    y = np.empty((n, l, d), dtype=dtype)
+    work = np.empty((4, chunks[0].stop, n, s, d), dtype=dtype)
+    for i, sl in enumerate(chunks):
+        abar, _, _, x, _ = _zoh_chunk(dt[sl], at, inv_a, bt[sl], _tokens(ud, sl),
+                                      small, work)
+        h = scan_seq(abar, x, h_start[i], out=x)
+        if i + 1 < len(chunks):
+            h_start[i + 1] = h[-1]
+        y[:, sl] = (ct[sl, :, None, :] @ h)[:, :, 0].transpose(1, 0, 2)
+    y += ud * skd
+    return y, _ScanSaved(dt, bt, ct, h_start, small)
+
+
+def _scan_backward(g, ud, ad, skd, saved: _ScanSaved, gu=None) -> tuple:
+    """The gradients (u, Δ, A, B, C, D) of ``selective_scan`` for the output
+    gradient g, batch-major like its inputs. The input gradient is written
+    to ``gu`` when given, which may be g itself: each chunk of g is read
+    before the same chunk of ``gu`` is written."""
+    dt, bt, ct, h_start, small = saved
+    n, l, d = ud.shape
+    s = bt.shape[2]
+    dtype = h_start.dtype
+    at, inv_a, chunks = _scan_setup(ad, dtype, n, l, d)
+    gskip = (g * ud).reshape(-1, d).sum(axis=0)
+    gu = np.empty((n, l, d), dtype=dtype) if gu is None else gu
+    gdelta = np.empty((n, l, d), dtype=dtype)
+    gb = np.empty((n, l, s), dtype=dtype)
+    gc = np.empty((n, l, s), dtype=dtype)
+    ga_sum = np.zeros((s, d), dtype=dtype)     # A·dL/dA off the series
+    ga_series = np.zeros((s, d), dtype=dtype)  # dL/dA of the series entries
+    carry = np.zeros((n, s, d), dtype=dtype)   # Ā_{t+1}·q_{t+1} past the chunk
+    work = np.empty((7, chunks[0].stop, n, s, d), dtype=dtype)
+    ones_s = np.ones((1, s), dtype=dtype)
+    for i in reversed(range(len(chunks))):
+        sl = chunks[i]
+        dc, uc, gi, bc = dt[sl], _tokens(ud, sl), _tokens(g, sl), bt[sl]
+        abar, bf, bu, x, mask = _zoh_chunk(dc, at, inv_a, bc, uc, small,
+                                         work[:4])
+        h, q, z = (w[:len(x)] for w in work[4:])
+        scan_seq(abar, x, h_start[i], out=h)
+        gc[:, sl] = (h @ gi[..., None])[..., 0].transpose(1, 0, 2)
+        # q_t = dL/dh_t = g_t·C_t + Ā_{t+1}·q_{t+1}; dL/dx_t = q_t
+        np.einsum("tns,tnd->tnsd", ct[sl], gi, out=q)
+        q[-1] += carry
+        scan_seq(abar[:0:-1], q[-2::-1], q[-1], out=q[-2::-1])
+        np.multiply(abar[0], q[0], out=carry)
+        # x = bf·B·u gives the gradients of u and B
+        qbf = np.multiply(bf, q, out=bf)
+        gi *= skd
+        gi += (bc[:, :, None, :] @ qbf)[:, :, 0]
+        gu[:, sl] = gi.transpose(1, 0, 2)
+        gb[:, sl] = (qbf @ uc[..., None])[..., 0].transpose(1, 0, 2)
+        # ∂Ā/∂Δ = A·Ā and ∂bf/∂Δ = Ā, so dL/dΔ = Σ_s q·Ā·(A·h_{t-1} + B·u)
+        # = Σ_s z with z = q·(A·h_t + B·u), as A·bf = Ā − 1
+        np.einsum("tnsd,sd->tnsd", h, at, out=z)
+        z += bu
+        z *= q
+        gdelta[:, sl] = (ones_s @ z)[:, :, 0].transpose(1, 0, 2)
+        # dL/dA = Σ q·(Δ·Ā·h_{t-1} + B·u·∂bf/∂A) and A·∂bf/∂A = Δ·Ā − bf,
+        # so A·dL/dA = Σ Δ·z − q·x
+        if mask is not None:
+            # at the series entries (A·∂bf/∂A = A·Δ²/2) that difference
+            # would cancel: take them out and add their exact terms
+            dc4 = dc[:, :, None, :]
+            exact = q * dc4 * (0.5 * dc4 * bu + h - x)
+            ga_series += np.where(mask, exact, 0.0).sum(axis=(0, 1))
+            z[mask] = 0.0
+            x[mask] = 0.0
+        ga_sum += np.einsum("tnsd,tnd->sd", z, dc)
+        ga_sum -= np.einsum("tnsd,tnsd->sd", q, x)
+    ga = np.ascontiguousarray((ga_sum * inv_a + ga_series).T)
+    return gu, gdelta, ga, gb, gc, gskip
 
 
 def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
@@ -130,91 +243,30 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
     One tape node: the sequence is walked in chunks of
     CHUNK_ELEMENTS // (N·S·D) tokens (at least 1, at most L) and only the
     state at each chunk start is kept; backward recomputes a chunk's states
-    from it and runs the reverse recurrence per chunk. The inputs are read
-    token-major and a chunk's working arrays are [T, N, S, D], token-outer
+    from it and runs the reverse recurrence per chunk. A chunk's inputs are
+    read token-major and its working arrays are [T, N, S, D], token-outer
     and state-major: each step of the recurrence and each token's outer
     product, readout and reduction works on one contiguous [N, S, D] slice,
     and the wide D is the contiguous axis of every broadcast and every sum
-    over S. Backward keeps the token-major copies of Δ, B and C but rebuilds
-    u's from u, which the projections that read u hold anyway.
+    over S. Backward keeps token-major copies of Δ, B and C; u and g are
+    copied token-major one chunk at a time, and the gradients written back
+    batch-major the same way.
     """
-    ud, dd, ad, bd, cd, skd = (t.data for t in (u, delta, a, b, c, d_skip))
-    if np.any(dd <= 0):
-        raise ValueError("selective_scan: step sizes must be strictly positive")
-    n, l, d = ud.shape
-    s = ad.shape[1]
-    dtype = np.result_type(ud, dd, ad, bd, cd, skd)
-    at = np.ascontiguousarray(ad.T, dtype=dtype)
-    inv_a = 1.0 / at
-    small = bool((dd * np.abs(ad).min(axis=1)).min() < _SERIES_EPS)
-    tc = min(_chunk_len(n, s, d), l)
-    chunks = [slice(t0, t0 + tc) for t0 in range(0, l, tc)]
-    ut, dt, bt, ct = _swap_leading(ud, dd, bd, cd)
-    h_start = np.zeros((len(chunks), n, s, d), dtype=dtype)
-    yt = np.empty((l, n, d), dtype=dtype)
-    work = np.empty((4, tc, n, s, d), dtype=dtype)
-    for i, sl in enumerate(chunks):
-        abar, _, _, x, _ = _zoh_chunk(dt[sl], at, inv_a, bt[sl], ut[sl], small,
-                                      work)
-        h = scan_seq(abar, x, h_start[i], out=x)
-        if i + 1 < len(chunks):
-            h_start[i + 1] = h[-1]
-        yt[sl] = (ct[sl, :, None, :] @ h)[:, :, 0]
-    (y,) = _swap_leading(yt)
-    y += ud * skd
+    ud, ad, skd = u.data, a.data, d_skip.data
+    y, saved = _scan_forward(ud, delta.data, ad, b.data, c.data, skd)
+    return Tensor._node(y, (u, delta, a, b, c, d_skip),
+                        lambda g: _scan_backward(g, ud, ad, skd, saved))
 
-    def back(g):
-        gt, ut = _swap_leading(g, ud)
-        gu = gt * skd
-        gdelta = np.empty_like(gu)
-        gb = np.empty((l, n, s), dtype=dtype)
-        gc = np.empty((l, n, s), dtype=dtype)
-        ga_sum = np.zeros((s, d), dtype=dtype)     # A·dL/dA off the series
-        ga_series = np.zeros((s, d), dtype=dtype)  # dL/dA of the series entries
-        carry = np.zeros((n, s, d), dtype=dtype)   # Ā_{t+1}·q_{t+1} past the chunk
-        work = np.empty((7, tc, n, s, d), dtype=dtype)
-        ones_s = np.ones((1, s), dtype=dtype)
-        for i in reversed(range(len(chunks))):
-            sl = chunks[i]
-            dc, uc, gi, bc = dt[sl], ut[sl], gt[sl], bt[sl]
-            abar, bf, bu, x, mask = _zoh_chunk(dc, at, inv_a, bc, uc, small,
-                                             work[:4])
-            h, q, z = (w[:len(x)] for w in work[4:])
-            scan_seq(abar, x, h_start[i], out=h)
-            gc[sl] = (h @ gi[..., None])[..., 0]
-            # q_t = dL/dh_t = g_t·C_t + Ā_{t+1}·q_{t+1}; dL/dx_t = q_t
-            np.einsum("tns,tnd->tnsd", ct[sl], gi, out=q)
-            q[-1] += carry
-            scan_seq(abar[:0:-1], q[-2::-1], q[-1], out=q[-2::-1])
-            np.multiply(abar[0], q[0], out=carry)
-            # x = bf·B·u gives the gradients of u and B
-            qbf = np.multiply(bf, q, out=bf)
-            gu[sl] += (bc[:, :, None, :] @ qbf)[:, :, 0]
-            gb[sl] = (qbf @ uc[..., None])[..., 0]
-            # ∂Ā/∂Δ = A·Ā and ∂bf/∂Δ = Ā, so dL/dΔ = Σ_s q·Ā·(A·h_{t-1} + B·u)
-            # = Σ_s z with z = q·(A·h_t + B·u), as A·bf = Ā − 1
-            np.einsum("tnsd,sd->tnsd", h, at, out=z)
-            z += bu
-            z *= q
-            gdelta[sl] = (ones_s @ z)[:, :, 0]
-            # dL/dA = Σ q·(Δ·Ā·h_{t-1} + B·u·∂bf/∂A) and A·∂bf/∂A = Δ·Ā − bf,
-            # so A·dL/dA = Σ Δ·z − q·x
-            if mask is not None:
-                # at the series entries (A·∂bf/∂A = A·Δ²/2) that difference
-                # would cancel: take them out and add their exact terms
-                dc4 = dc[:, :, None, :]
-                exact = q * dc4 * (0.5 * dc4 * bu + h - x)
-                ga_series += np.where(mask, exact, 0.0).sum(axis=(0, 1))
-                z[mask] = 0.0
-                x[mask] = 0.0
-            ga_sum += np.einsum("tnsd,tnd->sd", z, dc)
-            ga_sum -= np.einsum("tnsd,tnsd->sd", q, x)
-        ga = np.ascontiguousarray((ga_sum * inv_a + ga_series).T)
-        gskip = (g * ud).reshape(-1, d).sum(axis=0)
-        gu, gdelta, gb, gc = _swap_leading(gu, gdelta, gb, gc)
-        return gu, gdelta, ga, gb, gc, gskip
 
-    return Tensor._node(y, (u, delta, a, b, c, d_skip), back)
+def _times_silu_grad(g: np.ndarray, d: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """g·silu'(d) = g·s·(1 + d·(1 − s)) for s = σ(d), in place in g and in the
+    order of ``Tensor.silu``'s backward; s is overwritten."""
+    g *= s
+    np.subtract(1.0, s, out=s)
+    s *= d
+    s += 1.0
+    g *= s
+    return g
 
 
 class MambaBlock(Module):
@@ -248,19 +300,96 @@ class MambaBlock(Module):
         self.dt_up.bias.data = np.log(np.expm1(dt0))
         self.out_proj = Linear(di, cfg.d_model, zero_init=True)
 
-    def _scan_inputs(self, u: Tensor) -> tuple:
-        """Arguments of ``selective_scan`` for the scan input ``u``."""
-        a = -self.A_log.exp()
-        delta = self.dt_up(self.dt_down(u)).softplus()
-        return u, delta, a, self.proj_B(u), self.proj_C(u), self.D_skip
-
     def __call__(self, x: Tensor) -> Tensor:
+        """One tape node. Backward rebuilds the conv output, u = silu(conv),
+        the step-size pre-activation and y·silu(gate) from what the node
+        holds: x, in_proj's output (u's half and the gate are views of it),
+        dt_down's rank-r output, the scan's token-major Δ, B and C and its
+        chunk-start states, and the scan output y. Every expression is that
+        of ``mamba_block_ref`` in the order its tape runs them, so output
+        and gradients equal the composition's bit for bit."""
         di = self.cfg.d_inner
-        proj = self.in_proj(x)
-        u, gate = proj[:, :, :di], proj[:, :, di:]
-        u = conv3_seq(u, self.conv_weight, self.conv_bias).silu()
-        y = selective_scan(*self._scan_inputs(u))
-        return self.out_proj(silu_gate(y, gate))
+        params = (self.in_proj.weight, self.conv_weight, self.conv_bias,
+                  self.A_log, self.D_skip, self.proj_B.weight, self.proj_C.weight,
+                  self.dt_down.weight, self.dt_up.weight, self.dt_up.bias,
+                  self.out_proj.weight, self.out_proj.bias)
+        (w_in, w_conv, b_conv, a_log, skd, w_b, w_c, w_down, w_up, b_up,
+         w_out, b_out) = (p.data for p in params)
+        xd = x.data
+        proj = xd @ w_in
+        u0, gate = proj[:, :, :di], proj[:, :, di:]
+
+        def silu_u():
+            """σ of the conv output, and u = conv·σ(conv)."""
+            conv = _conv3(u0, w_conv, b_conv)
+            s_conv = _expit(conv)
+            return s_conv, conv * s_conv
+
+        u = silu_u()[1]
+        t1 = u @ w_down
+        y, saved = _scan_forward(u, _softplus(t1 @ w_up + b_up), -np.exp(a_log),
+                                 u @ w_b, u @ w_c, skd)
+        del u
+        out = (y * (gate * _expit(gate))) @ w_out + b_out
+
+        def back(g):
+            s_gate = _expit(gate)
+            sg = gate * s_gate
+            g_yg, g_wout = _matmul_back(y * sg, w_out, g)
+            g_y = g_yg * sg
+            del sg
+            g_yg *= y
+            g_gate = _times_silu_grad(g_yg, gate, s_gate)
+            del s_gate, g_yg
+            s_conv, u = silu_u()
+            exp_a = np.exp(a_log)
+            gu, gdelta, ga, gb, gc, g_skip = _scan_backward(
+                g_y, u, -exp_a, skd, saved, gu=g_y)
+            del g_y
+            # Δ = softplus(t1 @ w_up + b_up)
+            e = t1 @ w_up
+            e += b_up
+            gdelta *= _expit(e, out=e)
+            del e
+            g_up, g_wup = _matmul_back(t1, w_up, gdelta)
+            g_bup = _unbroadcast(gdelta, b_up.shape)
+            del gdelta
+            # u feeds dt_down, proj_B and proj_C after the scan
+            g_part, g_wdown = _matmul_back(u, w_down, g_up)
+            gu += g_part
+            g_part, g_wb = _matmul_back(u, w_b, gb)
+            gu += g_part
+            g_part, g_wc = _matmul_back(u, w_c, gc)
+            gu += g_part
+            del g_part, u
+            # the conv output is rebuilt once more rather than kept through
+            # the scan; σ is not recomputed
+            _times_silu_grad(gu, _conv3(u0, w_conv, b_conv), s_conv)
+            del s_conv
+            g_proj = np.empty_like(proj)
+            g_proj[:, :, di:] = g_gate
+            del g_gate
+            _, g_wconv, g_bconv = _conv3_back(gu, u0, w_conv, b_conv.shape,
+                                              out=g_proj[:, :, :di])
+            del gu
+            g_x, g_win = _matmul_back(xd, w_in, g_proj)
+            return (g_x, g_win, g_wconv, g_bconv, -ga * exp_a, g_skip, g_wb, g_wc,
+                    g_wdown, g_wup, g_bup, g_wout, _unbroadcast(g, b_out.shape))
+
+        return Tensor._node(out, (x, *params), back)
+
+
+def mamba_block_ref(block: MambaBlock, x: Tensor) -> Tensor:
+    """``block``'s forward composed from taped ops: the oracle of the fused
+    ``MambaBlock.__call__``, whose autodiff gives the reference gradients."""
+    di = block.cfg.d_inner
+    proj = block.in_proj(x)
+    u, gate = proj[:, :, :di], proj[:, :, di:]
+    u = conv3_seq(u, block.conv_weight, block.conv_bias).silu()
+    delta = block.dt_up(block.dt_down(u)).softplus()
+    y = selective_scan(u, delta, -block.A_log.exp(), block.proj_B(u),
+                       block.proj_C(u), block.D_skip)
+    return block.out_proj(y * gate.silu())
 
 
 class MambaBlock2d(Module):

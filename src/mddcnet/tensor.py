@@ -13,8 +13,8 @@ never a Tensor. So the tape holds just the arrays some closure reads; an op
 output no closure reads is freed as soon as the forward code drops it.
 ``backward()`` consumes its graph, freeing each node's arrays once the node
 has run; a second backward through the same graph raises RuntimeError.
-An activation holds one array per input: ``gelu`` its derivative, ``silu``
-its input, and ``silu_gate`` (y·silu(gate) as one node) its two inputs.
+An activation holds one array per input: ``gelu`` its derivative and
+``silu`` its input.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "bilinear_resize",
     "conv3_seq",
     "scan_seq",
-    "silu_gate",
 ]
 
 # Python floats, so that NumPy-2 promotion keeps float32 arrays float32
@@ -327,13 +326,9 @@ class Tensor:
         return Tensor._node(out, (self,), lambda g: (g * dphi,))
 
     def softplus(self):
-        """log(1 + e^x) as max(x, 0) + log1p(e^-|x|): the formula of
-        np.logaddexp(0, x) as whole-array ufuncs, several times faster than
-        logaddexp and silent on NaN."""
+        """log(1 + e^x); see ``_softplus``."""
         d = self.data
-        out = np.log1p(np.exp(-np.abs(d)))
-        out += np.maximum(d, 0.0)
-        return Tensor._node(out, (self,), lambda g: (g * _expit(d),))
+        return Tensor._node(_softplus(d), (self,), lambda g: (g * _expit(d),))
 
     def clamp(self, lo: float):
         d = self.data
@@ -423,14 +418,21 @@ class Tensor:
         ad, bd = a.data, b.data
         if bd.ndim != 2:
             raise ValueError("matmul: right operand must be 2-D")
-        out = ad @ bd
+        return Tensor._node(ad @ bd, (a, b), lambda g: _matmul_back(ad, bd, g))
 
-        def back(g):
-            ga = g @ bd.T
-            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            return (ga, gb)
 
-        return Tensor._node(out, (a, b), back)
+def _softplus(d: np.ndarray) -> np.ndarray:
+    """log(1 + e^d) as max(d, 0) + log1p(e^-|d|): the formula of
+    np.logaddexp(0, d) as whole-array ufuncs, several times faster than
+    logaddexp and silent on NaN."""
+    out = np.log1p(np.exp(-np.abs(d)))
+    out += np.maximum(d, 0.0)
+    return out
+
+
+def _matmul_back(ad: np.ndarray, bd: np.ndarray, g: np.ndarray) -> tuple:
+    """Gradients of ad @ bd ([..., K] @ [K, N]) for the output gradient g."""
+    return g @ bd.T, ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -469,22 +471,6 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._node(
         np.where(mask, ad, bd), (a, b),
         lambda g: (_unbroadcast(g * mask, sa), _unbroadcast(g * ~mask, sb)))
-
-
-def silu_gate(y: Tensor, gate: Tensor) -> Tensor:
-    """y · silu(gate) as one node that holds y and gate and recomputes
-    σ(gate) in backward. Its expressions are those of ``y * gate.silu()``
-    in the same order, so output and gradients equal that composition's bit
-    for bit; both operands have one shape."""
-    yd, gd = y.data, gate.data
-    if yd.shape != gd.shape:
-        raise ValueError(f"silu_gate: shapes {yd.shape} and {gd.shape} differ")
-
-    def back(g):
-        s = _expit(gd)
-        return g * (gd * s), g * yd * s * (1.0 + gd * (1.0 - s))
-
-    return Tensor._node(yd * (gd * _expit(gd)), (y, gate), back)
 
 
 # -- image <-> token layout -------------------------------------------------
@@ -552,7 +538,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 
     def back(g):
         gg = g.reshape(n, groups, co // groups, oh * ow)
-        gw = np.matmul(gg, im2col().transpose(0, 1, 3, 2)).sum(axis=0).reshape(wshape)
+        # the weight gradient image by image: the same sum over the batch as
+        # np.matmul(gg, colsᵀ).sum(axis=0), without its n weight-sized terms
+        cols = im2col().transpose(0, 1, 3, 2)
+        gw = np.matmul(gg[0], cols[0])
+        for i in range(1, n):
+            gw += np.matmul(gg[i], cols[i])
+        del cols
+        gw = gw.reshape(wshape)
         gcols = np.matmul(w2.transpose(0, 2, 1)[None], gg)
         gcols = gcols.reshape(n, c, kh, kw, oh, ow)
         hp, wp = h + 2 * padding, w + 2 * padding
@@ -579,22 +572,31 @@ def conv3_seq(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     and [3] for scalar ones. The terms add up in the order written, so the
     result equals the zero-pad, slice and add composition bit for bit."""
     xd, wd, bshape = x.data, w.data, b.shape
+    return Tensor._node(_conv3(xd, wd, b.data), (x, w, b),
+                        lambda g: _conv3_back(g, xd, wd, bshape))
+
+
+def _conv3(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """``conv3_seq`` on arrays."""
     out = xd * wd[1]
     out[:, 1:] += xd[:, :-1] * wd[0]
     out[:, :-1] += xd[:, 1:] * wd[2]
-    out += b.data
+    out += bd
+    return out
 
-    def back(g):
-        gx = g * wd[1]
-        gx[:, :-1] += g[:, 1:] * wd[0]
-        gx[:, 1:] += g[:, :-1] * wd[2]
-        tap = wd.shape[1:]
-        gw = np.stack([_unbroadcast(g[:, 1:] * xd[:, :-1], tap),
-                       _unbroadcast(g * xd, tap),
-                       _unbroadcast(g[:, :-1] * xd[:, 1:], tap)])
-        return gx, gw, _unbroadcast(g, bshape)
 
-    return Tensor._node(out, (x, w, b), back)
+def _conv3_back(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, bshape: tuple,
+                out: np.ndarray | None = None) -> tuple:
+    """Gradients (x, w, b) of ``conv3_seq`` for the output gradient g; the
+    input gradient is written to ``out`` when given."""
+    gx = np.multiply(g, wd[1], out=out)
+    gx[:, :-1] += g[:, 1:] * wd[0]
+    gx[:, 1:] += g[:, :-1] * wd[2]
+    tap = wd.shape[1:]
+    gw = np.stack([_unbroadcast(g[:, 1:] * xd[:, :-1], tap),
+                   _unbroadcast(g * xd, tap),
+                   _unbroadcast(g[:, :-1] * xd[:, 1:], tap)])
+    return gx, gw, _unbroadcast(g, bshape)
 
 
 # -- normalization ------------------------------------------------------------
@@ -652,8 +654,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 class SpatialMap(NamedTuple):
     """A sparse linear map from [h, w] images to ``out`` = (oh, ow) images:
     ``m`` [oh·ow, k] weighs the k input pixels ``cols`` (flat indices) that
-    the map reads."""
+    the map reads; ``mt`` is mᵀ in CSR, which backward applies."""
     m: sparse.coo_array
+    mt: sparse.csr_array
     cols: np.ndarray
     out: tuple[int, int]
 
@@ -671,7 +674,7 @@ def resample(x: Tensor, r: SpatialMap) -> Tensor:
     def back(g):
         # only the pixels M reads get a gradient
         gx = np.zeros((n * c, h * w), dtype=g.dtype)
-        gx[:, r.cols] = (r.m.T @ g.reshape(n * c, -1).T).T
+        gx[:, r.cols] = (r.mt @ g.reshape(n * c, -1).T).T
         return (gx.reshape(n, c, h, w),)
 
     return Tensor._node(np.ascontiguousarray(out.T).reshape(n, c, *r.out), (x,), back)
@@ -690,7 +693,7 @@ def _separable(factor, h: int, w: int, oh: int, ow: int, dtype) -> SpatialMap:
     xs = np.flatnonzero(np.bincount(rx.indices, minlength=w))
     m = sparse.kron(ry[:, ys], rx[:, xs], format="coo")
     cols = (ys[:, None] * w + xs).ravel()
-    return SpatialMap(m, cols, (oh, ow))
+    return SpatialMap(m, m.T.tocsr(), cols, (oh, ow))
 
 
 def _nearest_factor(out: int, n: int) -> sparse.csr_array:

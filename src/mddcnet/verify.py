@@ -21,10 +21,10 @@ from functools import partial
 
 import numpy as np
 
-from .tensor import Tensor, Conv2d, concat, conv2d, no_grad, silu_gate
+from .tensor import Tensor, Conv2d, concat, conv2d, no_grad
 from .msddc import Msddc, bilinear_sample, deform_dilated_conv
 from .ssm import (MambaBlock, MambaBlockConfig, _chunk_len, discretize_zoh,
-                  selective_scan, selective_scan_ref)
+                  mamba_block_ref, selective_scan, selective_scan_ref)
 from .ffn_attn import (CeFfn, Csca, FFN_KINDS, NECK_ATTENTION_KINDS, Mlca,
                        SC_POOL_SIZES, ScaleCalibration, SpatialAttention, make_ffn)
 from .model import HeadLevel, MddcNet, count_params, decode_boxes, encode_box, \
@@ -284,24 +284,40 @@ def check_ssm_frozen_scan_matches_conv(rng) -> str:
     return f"max err {err:.3e}"
 
 
-def check_ssm_silu_gate_matches_composition(rng) -> str:
-    """The fused gate ``silu_gate(y, gate)`` equals ``y * gate.silu()`` bit
-    for bit, in output and both gradients, in float64 and float32, with
-    gates from the saturated tails through zero."""
-    gate = np.concatenate([[0.0, -0.0, 1e-8, -1e-8, 40.0, -40.0, 800.0, -800.0],
-                           rng.standard_normal(24) * 5.0]).reshape(2, 4, 4)
-    y, coeff = rng.standard_normal((2, 2, 4, 4))
+def check_ssm_mamba_block_matches_composition(rng) -> str:
+    """The fused ``MambaBlock`` (one tape node) equals ``mamba_block_ref``,
+    its composition from taped ops, bit for bit: the output, the input
+    gradient and every parameter gradient, in float64 and float32, with
+    gates at 0, ±40, ±800 and random, Δ·A on the scan's series branch for
+    half the channels, and a sequence of three scan chunks."""
+    cfg = MambaBlockConfig(d_model=6, d_state=4)
+    n, di = 2, cfg.d_inner
+    length = 2 * _chunk_len(n, cfg.d_state, di) + 3
+    block = MambaBlock(cfg, rng)
+    state = {name: rng.standard_normal(p.shape) * 0.3
+             for name, p in block.named_parameters()}
+    # a constant input channel and zero weights elsewhere set five gates
+    # to exactly 0, ±40 and ±800
+    x, coeff = rng.standard_normal((2, n, length, cfg.d_model))
+    x[:, :, 0] = 1.0
+    state["in_proj.weight"][:, di:di + 5] = 0.0
+    state["in_proj.weight"][0, di + 1:di + 5] = 40.0, -40.0, 800.0, -800.0
+    state["A_log"][::2] = np.log(1e-9)
     for dtype in (np.float64, np.float32):
         runs = []
-        for fused in (True, False):
-            yt, gt = (Tensor(v.astype(dtype), requires_grad=True) for v in (y, gate))
-            out = silu_gate(yt, gt) if fused else yt * gt.silu()
+        for forward in (MambaBlock.__call__, mamba_block_ref):
+            for name, p in block.named_parameters():
+                p.data, p.grad = state[name].astype(dtype), None
+            xt = Tensor(x.astype(dtype), requires_grad=True)
+            out = forward(block, xt)
             (out * Tensor(coeff.astype(dtype))).sum().backward()
-            runs.append((out.data, yt.grad, gt.grad))
-        for what, got, ref in zip(("output", "dL/dy", "dL/dgate"), *runs):
+            runs.append([("output", out.data), ("dL/dx", xt.grad)]
+                        + [(f"dL/d{name}", p.grad) for name, p in block.named_parameters()])
+        for (what, got), (_, ref) in zip(*runs):
             _require(got.dtype == dtype and np.array_equal(got, ref),
-                     f"{np.dtype(dtype).name} {what} differs from y * gate.silu()")
-    return "output and both gradients bit-exact in float64 and float32"
+                     f"{np.dtype(dtype).name} {what} differs from mamba_block_ref")
+    return (f"output and {len(runs[0]) - 1} gradients bit-exact in float64 "
+            f"and float32, L={length}")
 
 
 def check_ssm_mamba_identity_at_init(rng) -> str:
@@ -811,7 +827,7 @@ CHECKS = {
     "ssm.zoh_scalar": check_ssm_zoh_scalar,
     "ssm.impulse_response": check_ssm_impulse_response,
     "ssm.frozen_scan_matches_conv": check_ssm_frozen_scan_matches_conv,
-    "ssm.silu_gate_matches_composition": check_ssm_silu_gate_matches_composition,
+    "ssm.mamba_block_matches_composition": check_ssm_mamba_block_matches_composition,
     "ssm.mamba_identity_at_init": check_ssm_mamba_identity_at_init,
     "ffn.identity_at_init": check_ffn_identity_at_init,
     "ffn.scalar_pipeline": check_ffn_scalar_pipeline,

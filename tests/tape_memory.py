@@ -42,6 +42,13 @@ def free_vars(fn) -> dict:
                     (c.cell_contents for c in fn.__closure__)))
 
 
+def base_array(value: np.ndarray) -> np.ndarray:
+    """The array that owns ``value``'s memory."""
+    while isinstance(value.base, np.ndarray):
+        value = value.base
+    return value
+
+
 def held_roots(fn, exclude):
     """The base arrays a backward closure holds, by id: arrays its cells
     capture, in nested closures, tuples and lists too, with a sparse
@@ -52,8 +59,7 @@ def held_roots(fn, exclude):
         if sparse.issparse(value):
             stack.extend(vars(value).values())    # CSR, COO, ... arrays
         elif isinstance(value, np.ndarray):
-            while isinstance(value.base, np.ndarray):
-                value = value.base
+            value = base_array(value)
             if id(value) not in exclude:
                 held[id(value)] = value
         elif isinstance(value, (tuple, list)):

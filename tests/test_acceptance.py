@@ -52,7 +52,7 @@ _ORACLE_CHECKS = (
     "msddc.zero_offset_matches_dilated",
     "ssm.par_matches_seq",
     "ssm.frozen_scan_matches_conv",
-    "ssm.silu_gate_matches_composition",
+    "ssm.mamba_block_matches_composition",
     "model.neck_zero_init_fpn",
     "eval.nms_matches_bruteforce",
     "eval.map_matches_bruteforce",
@@ -130,6 +130,13 @@ def test_c4_budget():
 
 # -- C5: linear scan scaling -----------------------------------------------------
 
+def _scan_inputs(block: MambaBlock, u: Tensor) -> tuple:
+    """Arguments of ``selective_scan`` in ``block`` for the scan input ``u``."""
+    delta = block.dt_up(block.dt_down(u)).softplus()
+    return (u, delta, -block.A_log.exp(), block.proj_B(u), block.proj_C(u),
+            block.D_skip)
+
+
 def _scan_ratios(block: MambaBlock, lengths, rounds: int,
                  rng: np.random.Generator) -> dict:
     """For each L whose double 2L is also timed, the median over rounds of
@@ -143,7 +150,7 @@ def _scan_ratios(block: MambaBlock, lengths, rounds: int,
     with no_grad():
         for length in lengths:
             u = Tensor(rng.standard_normal((1, length, block.cfg.d_inner)))
-            inputs[length] = block._scan_inputs(u)
+            inputs[length] = _scan_inputs(block, u)
             selective_scan(*inputs[length])                 # warm up
         times = {length: [] for length in lengths}
         for _ in range(rounds):

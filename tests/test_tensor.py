@@ -16,8 +16,9 @@ from scipy.special import erf, expit
 
 import mddcnet
 from mddcnet.tensor import (Tensor, Module, Parameter, kaiming_uniform,
-                            concat, conv2d, maximum, minimum,
-                            adaptive_avg_pool2d,
+                            concat, conv2d, maximum, minimum, resample,
+                            adaptive_avg_pool2d, _separable, _cell_mean_factor,
+                            _nearest_factor, _bilinear_factor,
                             upsample_nearest_to, scan_seq, conv3_seq,
                             batch_norm, bilinear_resize, Conv2d, Linear,
                             BatchNorm2d, no_grad)
@@ -155,6 +156,36 @@ def test_conv2d_rebuild_equals_kept_cols(stride, padding, dilation, groups,
     for ref, new in zip(*results):
         assert new.dtype == dtype
         assert np.array_equal(ref, new)
+
+
+# (stride, padding, dilation, groups, in channels, out channels, kernel):
+# dense 3×3, 1×1, depthwise 3×3 and 3×3 at stride 2
+BATCH_GRID = [(1, 1, 1, 1, 4, 6, 3), (1, 0, 1, 1, 4, 6, 1), (1, 1, 1, 4, 4, 4, 3),
+              (2, 1, 1, 1, 4, 6, 3)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("stride,padding,dilation,groups,c,co,k", BATCH_GRID)
+def test_conv2d_weight_grad_per_image_equals_batched_sum(stride, padding, dilation,
+                                                         groups, c, co, k, n, dtype):
+    # conv2d adds the weight gradient up image by image; the kept-cols
+    # reference forms np.matmul(gg, colsᵀ).sum(axis=0) over the whole batch,
+    # which sums the same per-image products in the same order
+    rng = np.random.default_rng(n)
+    arrays = [rng.standard_normal(s).astype(dtype)
+              for s in ((n, c, 7, 6), (co, c // groups, k, k), (co,))]
+    grads = []
+    for keep_cols in (False, True):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out = (conv2d_keeping_cols(x, w, b, stride, padding, dilation, groups)
+               if keep_cols else
+               conv2d(x, w, b, stride=stride, padding=padding, dilation=dilation,
+                      groups=groups))
+        coeff = np.random.default_rng(4).standard_normal(out.shape).astype(dtype)
+        (out * Tensor(coeff)).sum().backward()
+        grads.append(w.grad)
+    assert grads[0].dtype == dtype and np.array_equal(*grads)
 
 
 @pytest.mark.parametrize("op", ["add", "mul", "sub", "div", "matmul"])
@@ -350,6 +381,28 @@ def test_upsample_nearest_to_matches_gather(shape, size):
     ri, ci = np.arange(oh) * h // oh, np.arange(ow) * w // ow
     assert np.array_equal(upsample_nearest_to(Tensor(xd), oh, ow).data,
                           xd[:, :, ri][:, :, :, ci])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("factor, shape, size", [
+    (_cell_mean_factor, (2, 3, 16, 16), (5, 5)),
+    (_cell_mean_factor, (1, 2, 7, 5), (3, 2)),
+    (_nearest_factor, (2, 3, 5, 5), (16, 16)),
+    (_nearest_factor, (1, 2, 3, 2), (7, 5)),
+    (_bilinear_factor, (1, 4, 8, 8), (40, 40)),
+    (_bilinear_factor, (2, 2, 5, 4), (3, 7)),
+])
+def test_resample_backward_by_cached_csr_equals_coo_transpose(factor, shape, size, dtype):
+    # backward applies the map's cached CSR transpose; the reference
+    # transposes the COO map on the call, as resample once did
+    n, c, h, w = shape
+    r = _separable(factor, h, w, *size, dtype)
+    x = Tensor(RNG.standard_normal(shape).astype(dtype), requires_grad=True)
+    g = RNG.standard_normal((n, c, *size)).astype(dtype)
+    (resample(x, r) * Tensor(g)).sum().backward()
+    ref = np.zeros((n * c, h * w), dtype=dtype)
+    ref[:, r.cols] = (r.m.T @ g.reshape(n * c, -1).T).T
+    assert x.grad.dtype == dtype and np.array_equal(x.grad, ref.reshape(shape))
 
 
 @pytest.mark.parametrize("op, shape, args", [
