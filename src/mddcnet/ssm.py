@@ -128,10 +128,19 @@ def _tokens(x: np.ndarray, sl: slice) -> np.ndarray:
     return np.ascontiguousarray(x[:, sl].transpose(1, 0, 2))
 
 
+def _readout(ct: np.ndarray, h: np.ndarray, uc: np.ndarray, skd: np.ndarray):
+    """The scan output of one chunk, token-major [T, N, D]: Σ_s C·h + D·u,
+    for its C ([T, N, S]), states h ([T, N, S, D]) and inputs u ([T, N, D])."""
+    yc = (ct[:, :, None, :] @ h)[:, :, 0]
+    yc += uc * skd
+    return yc
+
+
 class _ScanSaved(NamedTuple):
     """What the fused scan's backward reads besides g, u, A and D: the
-    token-major Δ, B and C ([L, N, ·]), the state at each chunk start
-    ([chunks, N, S, D]), and whether any Δ·A takes the series branch."""
+    token-major Δ, B and C ([L, N, ·]), the state at the start of each chunk
+    after the first ([chunks − 1, N, S, D]; the first starts from zero), and
+    whether any Δ·A takes the series branch."""
     dt: np.ndarray
     bt: np.ndarray
     ct: np.ndarray
@@ -156,25 +165,26 @@ def _scan_forward(ud, dd, ad, bd, cd, skd) -> tuple[np.ndarray, _ScanSaved]:
     at, inv_a, chunks = _scan_setup(ad, dtype, n, l, d)
     small = bool((dd * np.abs(ad).min(axis=1)).min() < _SERIES_EPS)
     dt, bt, ct = _swap_leading(dd, bd, cd)
-    h_start = np.zeros((len(chunks), n, s, d), dtype=dtype)
+    h_start = np.empty((len(chunks) - 1, n, s, d), dtype=dtype)
     y = np.empty((n, l, d), dtype=dtype)
     work = np.empty((4, chunks[0].stop, n, s, d), dtype=dtype)
     for i, sl in enumerate(chunks):
-        abar, _, _, x, _ = _zoh_chunk(dt[sl], at, inv_a, bt[sl], _tokens(ud, sl),
-                                      small, work)
-        h = scan_seq(abar, x, h_start[i], out=x)
+        uc = _tokens(ud, sl)
+        abar, _, _, x, _ = _zoh_chunk(dt[sl], at, inv_a, bt[sl], uc, small, work)
+        h = scan_seq(abar, x, h_start[i - 1] if i else None, out=x)
         if i + 1 < len(chunks):
-            h_start[i + 1] = h[-1]
-        y[:, sl] = (ct[sl, :, None, :] @ h)[:, :, 0].transpose(1, 0, 2)
-    y += ud * skd
+            h_start[i] = h[-1]
+        y[:, sl] = _readout(ct[sl], h, uc, skd).transpose(1, 0, 2)
     return y, _ScanSaved(dt, bt, ct, h_start, small)
 
 
-def _scan_backward(g, ud, ad, skd, saved: _ScanSaved, gu=None) -> tuple:
+def _scan_backward(g, ud, ad, skd, saved: _ScanSaved, gu=None, y=None) -> tuple:
     """The gradients (u, Δ, A, B, C, D) of ``selective_scan`` for the output
     gradient g, batch-major like its inputs. The input gradient is written
     to ``gu`` when given, which may be g itself: each chunk of g is read
-    before the same chunk of ``gu`` is written."""
+    before the same chunk of ``gu`` is written. When ``y`` ([N, L, D]) is
+    given, the scan's output is written to it from the recomputed states,
+    with ``_scan_forward``'s expressions, so it equals that y bit for bit."""
     dt, bt, ct, h_start, small = saved
     n, l, d = ud.shape
     s = bt.shape[2]
@@ -196,7 +206,9 @@ def _scan_backward(g, ud, ad, skd, saved: _ScanSaved, gu=None) -> tuple:
         abar, bf, bu, x, mask = _zoh_chunk(dc, at, inv_a, bc, uc, small,
                                          work[:4])
         h, q, z = (w[:len(x)] for w in work[4:])
-        scan_seq(abar, x, h_start[i], out=h)
+        scan_seq(abar, x, h_start[i - 1] if i else None, out=h)
+        if y is not None:
+            y[:, sl] = _readout(ct[sl], h, uc, skd).transpose(1, 0, 2)
         gc[:, sl] = (h @ gi[..., None])[..., 0].transpose(1, 0, 2)
         # q_t = dL/dh_t = g_t·C_t + Ā_{t+1}·q_{t+1}; dL/dx_t = q_t
         np.einsum("tns,tnd->tnsd", ct[sl], gi, out=q)
@@ -242,15 +254,15 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
 
     One tape node: the sequence is walked in chunks of
     CHUNK_ELEMENTS // (N·S·D) tokens (at least 1, at most L) and only the
-    state at each chunk start is kept; backward recomputes a chunk's states
-    from it and runs the reverse recurrence per chunk. A chunk's inputs are
-    read token-major and its working arrays are [T, N, S, D], token-outer
-    and state-major: each step of the recurrence and each token's outer
-    product, readout and reduction works on one contiguous [N, S, D] slice,
-    and the wide D is the contiguous axis of every broadcast and every sum
-    over S. Backward keeps token-major copies of Δ, B and C; u and g are
-    copied token-major one chunk at a time, and the gradients written back
-    batch-major the same way.
+    state at the start of each chunk after the first is kept; backward
+    recomputes a chunk's states from it and runs the reverse recurrence per
+    chunk. A chunk's inputs are read token-major and its working arrays
+    are [T, N, S, D], token-outer and state-major: each step of the
+    recurrence and each token's outer product, readout and reduction works
+    on one contiguous [N, S, D] slice, and the wide D is the contiguous axis
+    of every broadcast and every sum over S. Backward keeps token-major
+    copies of Δ, B and C; u and g are copied token-major one chunk at a
+    time, and the gradients written back batch-major the same way.
     """
     ud, ad, skd = u.data, a.data, d_skip.data
     y, saved = _scan_forward(ud, delta.data, ad, b.data, c.data, skd)
@@ -301,51 +313,53 @@ class MambaBlock(Module):
         self.out_proj = Linear(di, cfg.d_model, zero_init=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        """One tape node. Backward rebuilds the conv output, u = silu(conv),
-        the step-size pre-activation and y·silu(gate) from what the node
-        holds: x, in_proj's output (u's half and the gate are views of it),
-        dt_down's rank-r output, the scan's token-major Δ, B and C and its
-        chunk-start states, and the scan output y. Every expression is that
-        of ``mamba_block_ref`` in the order its tape runs them, so output
-        and gradients equal the composition's bit for bit."""
-        di = self.cfg.d_inner
+        """One tape node that holds x, dt_down's rank-r output t1 and the
+        scan's chunk-start states. Backward rebuilds the rest from them:
+        in_proj's output (u's half and the gate are views of it), the conv
+        output and u = silu(conv), Δ and the token-major Δ, B and C the scan
+        reads, the scan output y (written by the scan's backward from the
+        states it recomputes, so no second scan runs) and y·silu(gate).
+        Only g_y, u, Δ, B, C and y are alive beside the scan's own arrays;
+        the gate's σ, the step-size pre-activation and the conv output are
+        rebuilt once more after it rather than kept through it. Every
+        expression is that of ``mamba_block_ref`` in the order its tape runs
+        them, so output and gradients equal the composition's bit for bit."""
         params = (self.in_proj.weight, self.conv_weight, self.conv_bias,
                   self.A_log, self.D_skip, self.proj_B.weight, self.proj_C.weight,
                   self.dt_down.weight, self.dt_up.weight, self.dt_up.bias,
                   self.out_proj.weight, self.out_proj.bias)
         (w_in, w_conv, b_conv, a_log, skd, w_b, w_c, w_down, w_up, b_up,
          w_out, b_out) = (p.data for p in params)
-        xd = x.data
+        di, xd = self.cfg.d_inner, x.data
+
+        def silu_conv(u0):
+            """u = silu(conv(u0)) = conv·σ(conv)."""
+            u = _conv3(u0, w_conv, b_conv)
+            u *= _expit(u)
+            return u
+
         proj = xd @ w_in
-        u0, gate = proj[:, :, :di], proj[:, :, di:]
-
-        def silu_u():
-            """σ of the conv output, and u = conv·σ(conv)."""
-            conv = _conv3(u0, w_conv, b_conv)
-            s_conv = _expit(conv)
-            return s_conv, conv * s_conv
-
-        u = silu_u()[1]
+        u, gate = silu_conv(proj[:, :, :di]), proj[:, :, di:]
         t1 = u @ w_down
-        y, saved = _scan_forward(u, _softplus(t1 @ w_up + b_up), -np.exp(a_log),
-                                 u @ w_b, u @ w_c, skd)
+        y, (*_, h_start, small) = _scan_forward(
+            u, _softplus(t1 @ w_up + b_up), -np.exp(a_log), u @ w_b, u @ w_c, skd)
         del u
         out = (y * (gate * _expit(gate))) @ w_out + b_out
 
         def back(g):
-            s_gate = _expit(gate)
-            sg = gate * s_gate
-            g_yg, g_wout = _matmul_back(y * sg, w_out, g)
-            g_y = g_yg * sg
-            del sg
-            g_yg *= y
-            g_gate = _times_silu_grad(g_yg, gate, s_gate)
-            del s_gate, g_yg
-            s_conv, u = silu_u()
+            proj = xd @ w_in
+            gate = proj[:, :, di:]
+            g_y = g @ w_out.T
+            g_y *= gate * _expit(gate)
+            u = silu_conv(proj[:, :, :di])
+            del proj, gate
+            saved = _ScanSaved(*_swap_leading(_softplus(t1 @ w_up + b_up)),
+                               *_swap_leading(u @ w_b, u @ w_c), h_start, small)
+            y = np.empty_like(u)
             exp_a = np.exp(a_log)
             gu, gdelta, ga, gb, gc, g_skip = _scan_backward(
-                g_y, u, -exp_a, skd, saved, gu=g_y)
-            del g_y
+                g_y, u, -exp_a, skd, saved, gu=g_y, y=y)
+            del saved
             # Δ = softplus(t1 @ w_up + b_up)
             e = t1 @ w_up
             e += b_up
@@ -362,11 +376,23 @@ class MambaBlock(Module):
             g_part, g_wc = _matmul_back(u, w_c, gc)
             gu += g_part
             del g_part, u
-            # the conv output is rebuilt once more rather than kept through
-            # the scan; σ is not recomputed
-            _times_silu_grad(gu, _conv3(u0, w_conv, b_conv), s_conv)
-            del s_conv
+            # out = (y·silu(gate)) @ w_out + b_out
+            proj = xd @ w_in
+            u0, gate = proj[:, :, :di], proj[:, :, di:]
+            s_gate = _expit(gate)
+            y_sg = gate * s_gate
+            y_sg *= y
+            g_yg, g_wout = _matmul_back(y_sg, w_out, g)
+            del y_sg
+            g_yg *= y
+            del y
+            g_gate = _times_silu_grad(g_yg, gate, s_gate)
+            del s_gate, g_yg, gate
+            conv = _conv3(u0, w_conv, b_conv)
+            _times_silu_grad(gu, conv, _expit(conv))
+            del conv
             g_proj = np.empty_like(proj)
+            del proj
             g_proj[:, :, di:] = g_gate
             del g_gate
             _, g_wconv, g_bconv = _conv3_back(gu, u0, w_conv, b_conv.shape,

@@ -217,9 +217,12 @@ class Tensor:
             if g is None:
                 continue
             if isinstance(node, Tensor):
-                # leaf: accumulate into .grad
+                # leaf: accumulate into .grad, which may share memory with
+                # other gradients (read-only by convention); only a view
+                # into a larger array is copied, so as not to keep that alive
                 if node.grad is None:
-                    node.grad = g.copy()
+                    larger = g.base is not None and g.base.nbytes > g.nbytes
+                    node.grad = g.copy() if larger else g
                 else:
                     node.grad = node.grad + g
                 continue

@@ -3,9 +3,11 @@
 The method is ROADMAP's "Measured" one: walk the graph of one loss before
 ``backward()`` and collect the arrays its backward closures capture,
 deduplicated by base array, with sparse matrices counted and parameters
-excluded.
+excluded. ``backward_transient`` measures the other half, what one
+closure allocates while it runs.
 """
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -24,16 +26,22 @@ def n_toy_loss(model, n_scenes=2):
     return detection_loss(model(x), targets)["total"]
 
 
-def backward_closures(loss):
-    """The backward closure of every op in ``loss``'s graph, before backward()."""
-    seen, stack = set(), [loss]
+def grad_nodes(loss):
+    """The tape record of every op in ``loss``'s graph, before backward():
+    each has the op's closure as ``backward``, which may be replaced."""
+    seen, stack = set(), [loss._grad_node]
     while stack:
         node = stack.pop()
         if id(node) in seen or node._backward is None:
             continue
         seen.add(id(node))
-        yield node._backward
+        yield node
         stack.extend(node._parents)
+
+
+def backward_closures(loss):
+    """The backward closure of every op in ``loss``'s graph, before backward()."""
+    return (node.backward for node in grad_nodes(loss))
 
 
 def free_vars(fn) -> dict:
@@ -87,3 +95,15 @@ def held_bytes_by_op(loss, exclude) -> Counter:
                 seen.add(key)
                 by_op[op_name(fn)] += arr.nbytes
     return by_op
+
+
+def backward_transient(fn, g) -> int:
+    """Bytes by which one call ``fn(g)`` of a backward closure raises
+    tracemalloc's peak above its start, the gradients it returns included."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(g)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

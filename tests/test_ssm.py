@@ -6,7 +6,8 @@ import pytest
 
 from mddcnet.tensor import Tensor, flatten_hw, unflatten_hw
 from mddcnet.ssm import (MambaBlock, MambaBlock2d, MambaBlockConfig, _chunk_len,
-                         discretize_zoh, selective_scan, selective_scan_ref)
+                         _scan_backward, _scan_forward, discretize_zoh,
+                         selective_scan, selective_scan_ref)
 from mddcnet.gradcheck import grad_check
 from mddcnet.verify import CHECKS
 
@@ -107,6 +108,34 @@ def test_series_fallback_across_chunks():
     arrays[1] = np.full((n, length, d), 0.1)
     arrays[2][:, ::2] = -1e-9
     _assert_matches_ref(arrays, rng.standard_normal((n, length, d)))
+
+
+# L = k·T + e as in LENGTHS; "series" puts half the states on the series branch
+REBUILT_Y = {"one chunk": (1, 0, False), "three chunks": (3, 0, False),
+             "partial last chunk": (2, 3, False), "series": (2, 3, True)}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k, e, series", REBUILT_Y.values(), ids=REBUILT_Y)
+def test_scan_backward_rebuilds_forward_y(k, e, series, dtype):
+    # the Mamba block keeps no scan output: its backward has the scan's
+    # backward write y from the states it recomputes, which must be the
+    # forward's y bit for bit
+    n, d, s = 2, 16, 4
+    length = k * _chunk_len(n, s, d) + e
+    rng = np.random.default_rng(length)
+    arrays = _random_scan_arrays(n, length, d, s, rng)
+    if series:
+        arrays[1] = np.full((n, length, d), 0.1)
+        arrays[2][:, ::2] = -1e-9
+    arrays = [x.astype(dtype) for x in arrays]
+    u, _, a, _, _, d_skip = arrays
+    y, saved = _scan_forward(*arrays)
+    assert saved.small == series
+    rebuilt = np.full_like(y, np.nan)
+    _scan_backward(rng.standard_normal(y.shape).astype(dtype), u, a, d_skip,
+                   saved, y=rebuilt)
+    assert np.array_equal(rebuilt, y)
 
 
 def test_selective_scan_keeps_float32():

@@ -19,8 +19,8 @@ from mddcnet.eval import (average_precision, box_iou, compute_map,
                           decode_predictions, nms)
 from mddcnet.verify import CHECKS
 
-from tape_memory import (backward_closures, base_array, free_vars, held_bytes_by_op,
-                         held_roots, n_toy_loss, op_name)
+from tape_memory import (backward_closures, backward_transient, base_array, free_vars,
+                         grad_nodes, held_bytes_by_op, held_roots, n_toy_loss, op_name)
 
 RNG = np.random.default_rng(8)
 
@@ -265,6 +265,28 @@ def test_tape_closures_capture_no_tensor():
     assert ops > 100
 
 
+def test_backward_closures_never_write_their_incoming_gradient():
+    # backward() stores a leaf's gradient without a copy, so the array a
+    # closure is handed may also be a parameter's .grad or another parent's
+    # gradient: with every incoming gradient of an n-toy step read-only, the
+    # step still runs and gives the same gradients bit for bit
+    def grads(read_only):
+        model = MddcNet(variant_config("n-toy"), np.random.default_rng(0))
+        loss = n_toy_loss(model)
+        if read_only:
+            for node in grad_nodes(loss):
+                def back(g, fn=node.backward):
+                    if isinstance(g, np.ndarray):     # not a numpy scalar
+                        g.flags.writeable = False
+                    return fn(g)
+                node.backward = back
+        loss.backward()
+        return [p.grad for p in model.parameters()]
+
+    for got, want in zip(grads(True), grads(False), strict=True):
+        assert np.array_equal(got, want)
+
+
 def test_conv2d_backward_holds_no_im2col_copy():
     # a conv's backward keeps its unpadded input and rebuilds the padded
     # copy and the k²-times larger im2col matrix, so what one conv2d node
@@ -292,14 +314,12 @@ def test_conv2d_backward_holds_no_im2col_copy():
 
 
 def _block_held_bytes(block, x):
-    """What a Mamba block node holds for backward: x, in_proj's output,
-    dt_down's output, the scan's token-major Δ, B and C, its chunk-start
-    states and its output y."""
+    """What a Mamba block node holds for backward: x, dt_down's output and
+    the scan's state at the start of each chunk after the first."""
     n, length, c = x.shape
     di, s, r = block.cfg.d_inner, block.cfg.d_state, block.cfg.dt_rank
     chunks = -(-length // min(ssm._chunk_len(n, s, di), length))
-    return x.itemsize * (n * length * (c + 2 * di + r + di + 2 * s + di)
-                         + chunks * n * s * di)
+    return x.itemsize * (n * length * (c + r) + (chunks - 1) * n * s * di)
 
 
 def test_activations_hold_one_array_per_input(monkeypatch):
@@ -345,10 +365,11 @@ def test_activations_hold_one_array_per_input(monkeypatch):
 
 
 # tracemalloc's peak over one n-toy step at batch 8 (f64), above what was
-# allocated before it; 17.47-17.50 MiB measured. Held-byte pins cannot see
+# allocated before it; 14.86-14.91 MiB measured. Held-byte pins cannot see
 # a larger transient inside an op's forward or backward; this bound sees
-# one that raises the step's peak.
-STEP_PEAK_MIB = 18.0
+# one that raises the step's peak, and the block pin below one that stays
+# under it.
+STEP_PEAK_MIB = 15.3
 
 
 def test_training_step_peak_memory():
@@ -370,6 +391,20 @@ def test_training_step_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= STEP_PEAK_MIB, f"{peak:.2f} MiB"
+
+
+# tracemalloc's peak of one Mamba block backward at train-n128's neck-P3
+# shape (variant n, input [2, 256, 128], f64) above its start, the returned
+# gradients included; 7.63 MiB measured.
+BLOCK_BACKWARD_MIB = 7.8
+
+
+def test_mamba_block_backward_transient():
+    cfg, rng = variant_config("n"), np.random.default_rng(0)
+    block = ssm.MambaBlock(ssm.MambaBlockConfig(cfg.neck_width, cfg.d_state), rng)
+    x = Tensor(rng.standard_normal((2, 256, cfg.neck_width)), requires_grad=True)
+    peak = backward_transient(block(x)._backward, rng.standard_normal(x.shape))
+    assert peak <= BLOCK_BACKWARD_MIB * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
 def test_training_frees_its_tape_by_reference_counting():
