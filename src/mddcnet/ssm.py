@@ -4,7 +4,9 @@ Continuous dynamics h' = A h + B u with diagonal negative-real A are
 discretized per token by a data-dependent step size (zero-order hold),
 then rolled out as the linear recurrence h_t = Ā_t h_{t-1} + B̄_t u_t.
 ``selective_scan`` is one fused tape node that walks the sequence in
-token-outer chunks and recomputes each chunk's states in backward;
+token-outer chunks and recomputes each chunk's states in backward. Its
+inputs stay batch-major: each is read token-major one chunk at a time, and
+the node holds only its inputs and the chunk-start states;
 ``selective_scan_ref``, the same scan composed from taped ops, is its oracle.
 ``MambaBlock`` is one tape node too, running the scan's array kernels, and
 ``mamba_block_ref``, the block composed from taped ops, is its oracle.
@@ -13,7 +15,6 @@ token-outer chunks and recomputes each chunk's states in backward;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit as _expit
@@ -116,12 +117,6 @@ def _zoh_chunk(dd, at, inv_a, bd, ud, small, out):
     return abar, bf, bu, x, mask
 
 
-def _swap_leading(*arrays):
-    """Contiguous copies of 3-D arrays with their two leading axes swapped:
-    [N, L, ·] batch-major to [L, N, ·] token-major."""
-    return [np.ascontiguousarray(x.transpose(1, 0, 2)) for x in arrays]
-
-
 def _tokens(x: np.ndarray, sl: slice) -> np.ndarray:
     """Contiguous token-major copy [T, N, ·] of the tokens ``sl`` of a
     batch-major [N, L, ·] array."""
@@ -136,60 +131,49 @@ def _readout(ct: np.ndarray, h: np.ndarray, uc: np.ndarray, skd: np.ndarray):
     return yc
 
 
-class _ScanSaved(NamedTuple):
-    """What the fused scan's backward reads besides g, u, A and D: the
-    token-major Δ, B and C ([L, N, ·]), the state at the start of each chunk
-    after the first ([chunks − 1, N, S, D]; the first starts from zero), and
-    whether any Δ·A takes the series branch."""
-    dt: np.ndarray
-    bt: np.ndarray
-    ct: np.ndarray
-    h_start: np.ndarray
-    small: bool
-
-
-def _scan_setup(ad: np.ndarray, dtype, n: int, l: int, d: int):
-    """A and 1/A as [S, D] in ``dtype``, and the fused scan's chunk slices."""
+def _scan_setup(dd: np.ndarray, ad: np.ndarray, dtype):
+    """A and 1/A as [S, D] in ``dtype``, the fused scan's chunk slices for Δ
+    ([N, L, D]), and whether any Δ·A takes the series branch."""
+    n, l, d = dd.shape
     at = np.ascontiguousarray(ad.T, dtype=dtype)
     tc = min(_chunk_len(n, at.shape[0], d), l)
-    return at, 1.0 / at, [slice(t0, t0 + tc) for t0 in range(0, l, tc)]
+    small = bool((dd * np.abs(ad).min(axis=1)).min() < _SERIES_EPS)
+    return at, 1.0 / at, [slice(t0, t0 + tc) for t0 in range(0, l, tc)], small
 
 
-def _scan_forward(ud, dd, ad, bd, cd, skd) -> tuple[np.ndarray, _ScanSaved]:
-    """``selective_scan`` on arrays: y and what its backward reads."""
+def _scan_forward(ud, dd, ad, bd, cd, skd) -> tuple[np.ndarray, np.ndarray]:
+    """``selective_scan`` on arrays: y and the state at the start of each chunk
+    after the first ([chunks − 1, N, S, D]), which its backward reads."""
     if np.any(dd <= 0):
         raise ValueError("selective_scan: step sizes must be strictly positive")
-    n, l, d = ud.shape
-    s = ad.shape[1]
+    (n, l, d), s = ud.shape, ad.shape[1]
     dtype = np.result_type(ud, dd, ad, bd, cd, skd)
-    at, inv_a, chunks = _scan_setup(ad, dtype, n, l, d)
-    small = bool((dd * np.abs(ad).min(axis=1)).min() < _SERIES_EPS)
-    dt, bt, ct = _swap_leading(dd, bd, cd)
+    at, inv_a, chunks, small = _scan_setup(dd, ad, dtype)
     h_start = np.empty((len(chunks) - 1, n, s, d), dtype=dtype)
     y = np.empty((n, l, d), dtype=dtype)
     work = np.empty((4, chunks[0].stop, n, s, d), dtype=dtype)
     for i, sl in enumerate(chunks):
         uc = _tokens(ud, sl)
-        abar, _, _, x, _ = _zoh_chunk(dt[sl], at, inv_a, bt[sl], uc, small, work)
+        abar, _, _, x, _ = _zoh_chunk(_tokens(dd, sl), at, inv_a, _tokens(bd, sl),
+                                      uc, small, work)
         h = scan_seq(abar, x, h_start[i - 1] if i else None, out=x)
         if i + 1 < len(chunks):
             h_start[i] = h[-1]
-        y[:, sl] = _readout(ct[sl], h, uc, skd).transpose(1, 0, 2)
-    return y, _ScanSaved(dt, bt, ct, h_start, small)
+        y[:, sl] = _readout(_tokens(cd, sl), h, uc, skd).transpose(1, 0, 2)
+    return y, h_start
 
 
-def _scan_backward(g, ud, ad, skd, saved: _ScanSaved, gu=None, y=None) -> tuple:
+def _scan_backward(g, ud, dd, ad, bd, cd, skd, h_start, gu=None, y=None) -> tuple:
     """The gradients (u, Δ, A, B, C, D) of ``selective_scan`` for the output
-    gradient g, batch-major like its inputs. The input gradient is written
+    gradient g, batch-major like its inputs, from those inputs and
+    ``_scan_forward``'s chunk-start states. The input gradient is written
     to ``gu`` when given, which may be g itself: each chunk of g is read
     before the same chunk of ``gu`` is written. When ``y`` ([N, L, D]) is
     given, the scan's output is written to it from the recomputed states,
     with ``_scan_forward``'s expressions, so it equals that y bit for bit."""
-    dt, bt, ct, h_start, small = saved
-    n, l, d = ud.shape
-    s = bt.shape[2]
+    (n, l, d), s = ud.shape, ad.shape[1]
     dtype = h_start.dtype
-    at, inv_a, chunks = _scan_setup(ad, dtype, n, l, d)
+    at, inv_a, chunks, small = _scan_setup(dd, ad, dtype)
     gskip = (g * ud).reshape(-1, d).sum(axis=0)
     gu = np.empty((n, l, d), dtype=dtype) if gu is None else gu
     gdelta = np.empty((n, l, d), dtype=dtype)
@@ -202,16 +186,16 @@ def _scan_backward(g, ud, ad, skd, saved: _ScanSaved, gu=None, y=None) -> tuple:
     ones_s = np.ones((1, s), dtype=dtype)
     for i in reversed(range(len(chunks))):
         sl = chunks[i]
-        dc, uc, gi, bc = dt[sl], _tokens(ud, sl), _tokens(g, sl), bt[sl]
+        dc, uc, gi, bc, cc = (_tokens(x, sl) for x in (dd, ud, g, bd, cd))
         abar, bf, bu, x, mask = _zoh_chunk(dc, at, inv_a, bc, uc, small,
                                          work[:4])
         h, q, z = (w[:len(x)] for w in work[4:])
         scan_seq(abar, x, h_start[i - 1] if i else None, out=h)
         if y is not None:
-            y[:, sl] = _readout(ct[sl], h, uc, skd).transpose(1, 0, 2)
+            y[:, sl] = _readout(cc, h, uc, skd).transpose(1, 0, 2)
         gc[:, sl] = (h @ gi[..., None])[..., 0].transpose(1, 0, 2)
         # q_t = dL/dh_t = g_t·C_t + Ā_{t+1}·q_{t+1}; dL/dx_t = q_t
-        np.einsum("tns,tnd->tnsd", ct[sl], gi, out=q)
+        np.einsum("tns,tnd->tnsd", cc, gi, out=q)
         q[-1] += carry
         scan_seq(abar[:0:-1], q[-2::-1], q[-1], out=q[-2::-1])
         np.multiply(abar[0], q[0], out=carry)
@@ -260,14 +244,15 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
     are [T, N, S, D], token-outer and state-major: each step of the
     recurrence and each token's outer product, readout and reduction works
     on one contiguous [N, S, D] slice, and the wide D is the contiguous axis
-    of every broadcast and every sum over S. Backward keeps token-major
-    copies of Δ, B and C; u and g are copied token-major one chunk at a
-    time, and the gradients written back batch-major the same way.
+    of every broadcast and every sum over S. The inputs stay batch-major:
+    forward and backward each read u, Δ, B, C (and g) token-major one chunk
+    at a time and write y and the gradients back batch-major the same way,
+    so the node holds only its six input arrays and the chunk-start states.
     """
-    ud, ad, skd = u.data, a.data, d_skip.data
-    y, saved = _scan_forward(ud, delta.data, ad, b.data, c.data, skd)
+    arrays = (u.data, delta.data, a.data, b.data, c.data, d_skip.data)
+    y, h_start = _scan_forward(*arrays)
     return Tensor._node(y, (u, delta, a, b, c, d_skip),
-                        lambda g: _scan_backward(g, ud, ad, skd, saved))
+                        lambda g: _scan_backward(g, *arrays, h_start))
 
 
 def _times_silu_grad(g: np.ndarray, d: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -316,9 +301,9 @@ class MambaBlock(Module):
         """One tape node that holds x, dt_down's rank-r output t1 and the
         scan's chunk-start states. Backward rebuilds the rest from them:
         in_proj's output (u's half and the gate are views of it), the conv
-        output and u = silu(conv), Δ and the token-major Δ, B and C the scan
-        reads, the scan output y (written by the scan's backward from the
-        states it recomputes, so no second scan runs) and y·silu(gate).
+        output and u = silu(conv), the Δ, B and C the scan reads, the scan
+        output y (written by the scan's backward from the states it
+        recomputes, so no second scan runs) and y·silu(gate).
         Only g_y, u, Δ, B, C and y are alive beside the scan's own arrays;
         the gate's σ, the step-size pre-activation and the conv output are
         rebuilt once more after it rather than kept through it. Every
@@ -341,7 +326,7 @@ class MambaBlock(Module):
         proj = xd @ w_in
         u, gate = silu_conv(proj[:, :, :di]), proj[:, :, di:]
         t1 = u @ w_down
-        y, (*_, h_start, small) = _scan_forward(
+        y, h_start = _scan_forward(
             u, _softplus(t1 @ w_up + b_up), -np.exp(a_log), u @ w_b, u @ w_c, skd)
         del u
         out = (y * (gate * _expit(gate))) @ w_out + b_out
@@ -353,13 +338,11 @@ class MambaBlock(Module):
             g_y *= gate * _expit(gate)
             u = silu_conv(proj[:, :, :di])
             del proj, gate
-            saved = _ScanSaved(*_swap_leading(_softplus(t1 @ w_up + b_up)),
-                               *_swap_leading(u @ w_b, u @ w_c), h_start, small)
             y = np.empty_like(u)
             exp_a = np.exp(a_log)
             gu, gdelta, ga, gb, gc, g_skip = _scan_backward(
-                g_y, u, -exp_a, skd, saved, gu=g_y, y=y)
-            del saved
+                g_y, u, _softplus(t1 @ w_up + b_up), -exp_a, u @ w_b, u @ w_c,
+                skd, h_start, gu=g_y, y=y)
             # Δ = softplus(t1 @ w_up + b_up)
             e = t1 @ w_up
             e += b_up

@@ -639,9 +639,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         gi = gd * inv.reshape(1, c, 1, 1)
         if training:
             m = n * h * w
-            gsum = g.sum(axis=(0, 2, 3), keepdims=True)
-            gxhat_sum = (g * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-            gx = gi * (g - gsum / m - xhat * gxhat_sum / m)
+            gx = gi * (g - gbeta.reshape(1, c, 1, 1) / m
+                       - xhat * ggamma.reshape(1, c, 1, 1) / m)
         else:
             gx = gi * g
         return gx, ggamma, gbeta
@@ -852,25 +851,22 @@ class Module:
         return d
 
     def load_state_dict(self, d: dict[str, np.ndarray]):
-        """Copy ``d`` into the parameters and buffers. Every entry must name
-        one of them with its shape, and every one of them must be in ``d``;
+        """Copy ``d`` into the parameters' and buffers' own arrays, so the
+        module shares no memory with ``d``. Every entry must name one of
+        them with its shape, and every one of them must be in ``d``;
         otherwise nothing is loaded (KeyError, ValueError)."""
-        own = dict(self.named_parameters())
-        bufs = dict(self.named_buffers())
+        own = self.state_dict()
         for name, arr in d.items():
-            if name not in own and name not in bufs:
+            if name not in own:
                 raise KeyError(f"unknown entry in state dict: {name}")
-            shape = own[name].shape if name in own else bufs[name].shape
-            if shape != np.shape(arr):
-                raise ValueError(f"shape mismatch for {name}: {shape} vs {np.shape(arr)}")
-        missing = [name for name in (*own, *bufs) if name not in d]
+            if own[name].shape != np.shape(arr):
+                raise ValueError(f"shape mismatch for {name}: {own[name].shape} "
+                                 f"vs {np.shape(arr)}")
+        missing = [name for name in own if name not in d]
         if missing:
             raise KeyError(f"missing entry in state dict: {missing[0]}")
         for name, arr in d.items():
-            if name in own:
-                own[name].data = np.asarray(arr, dtype=own[name].dtype)
-            else:
-                bufs[name][...] = arr
+            own[name][...] = arr
 
 
 def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int):

@@ -8,6 +8,7 @@ from mddcnet.tensor import Tensor, no_grad
 from mddcnet.model import (BUDGET_TARGETS, MddcNet, VariantConfig, count_params,
                            decode_boxes, encode_box, estimate_flops,
                            variant_config)
+from mddcnet.train import Sgd
 from mddcnet.verify import CHECKS
 
 RNG = np.random.default_rng(6)
@@ -122,6 +123,21 @@ def test_state_dict_roundtrip_bit_exact():
         assert np.array_equal(a.data, d.data)
         assert np.array_equal(b.data, e.data)
         assert np.array_equal(c.data, f.data)
+
+
+def test_load_state_dict_copies_parameters():
+    # the loaded model owns its arrays: an optimizer step on it leaves the
+    # model it was loaded from unchanged
+    m1 = MddcNet(variant_config("n-toy"), np.random.default_rng(1))
+    m2 = MddcNet(variant_config("n-toy"), np.random.default_rng(2))
+    m2.load_state_dict(m1.state_dict())
+    before = {k: v.copy() for k, v in m1.state_dict().items()}
+    for p in m2.parameters():
+        p.grad = np.ones_like(p.data)
+    Sgd(m2.parameters()).step(0.01)
+    for k, v in m1.state_dict().items():
+        assert np.array_equal(v, before[k]), k
+        assert not np.shares_memory(v, m2.state_dict()[k]), k
 
 
 def test_same_seed_same_init():

@@ -6,12 +6,12 @@ import pytest
 
 from mddcnet.tensor import Tensor, flatten_hw, unflatten_hw
 from mddcnet.ssm import (MambaBlock, MambaBlock2d, MambaBlockConfig, _chunk_len,
-                         _scan_backward, _scan_forward, discretize_zoh,
+                         _scan_backward, _scan_forward, _scan_setup, discretize_zoh,
                          selective_scan, selective_scan_ref)
 from mddcnet.gradcheck import grad_check
 from mddcnet.verify import CHECKS
 
-from tape_memory import backward_closures
+from tape_memory import backward_closures, held_roots
 
 RNG = np.random.default_rng(3)
 
@@ -129,13 +129,27 @@ def test_scan_backward_rebuilds_forward_y(k, e, series, dtype):
         arrays[1] = np.full((n, length, d), 0.1)
         arrays[2][:, ::2] = -1e-9
     arrays = [x.astype(dtype) for x in arrays]
-    u, _, a, _, _, d_skip = arrays
-    y, saved = _scan_forward(*arrays)
-    assert saved.small == series
+    y, h_start = _scan_forward(*arrays)
+    assert _scan_setup(arrays[1], arrays[2], dtype)[3] == series
     rebuilt = np.full_like(y, np.nan)
-    _scan_backward(rng.standard_normal(y.shape).astype(dtype), u, a, d_skip,
-                   saved, y=rebuilt)
+    _scan_backward(rng.standard_normal(y.shape).astype(dtype), *arrays, h_start,
+                   y=rebuilt)
     assert np.array_equal(rebuilt, y)
+
+
+def test_selective_scan_holds_its_inputs_and_chunk_states():
+    # the scan reads its batch-major inputs token-major one chunk at a time,
+    # so its node holds the six input arrays themselves and the chunk-start
+    # states: a token-major copy of any input would be one more array
+    n, d, s = 2, 6, 3
+    length = 2 * _chunk_len(n, s, d) + 3
+    arrays = _random_scan_arrays(n, length, d, s, np.random.default_rng(4))
+    y = selective_scan(*(Tensor(x, requires_grad=True) for x in arrays))
+    held = held_roots(y._backward, set())
+    inputs = {id(x) for x in arrays}
+    assert inputs <= held.keys()
+    (h_start,) = (arr for key, arr in held.items() if key not in inputs)
+    assert h_start.shape == (2, n, s, d)
 
 
 def test_selective_scan_keeps_float32():
